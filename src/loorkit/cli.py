@@ -38,7 +38,6 @@ class RunConfig:
     ortho_tol: float = 1e-9
     fmt: str = "json"
     output: str | None = None
-    seed: int = 0  # reserved; the solvers are deterministic
 
     def __post_init__(self):
         for name in ("tol", "rank_tol", "ortho_tol"):
@@ -96,7 +95,6 @@ def _cfg_from(args) -> RunConfig:
         ortho_tol=getattr(args, "ortho_tol", 1e-9),
         fmt=args.format,
         output=args.output,
-        seed=getattr(args, "seed", 0),
     )
 
 
@@ -288,3 +286,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -19,6 +19,7 @@ __all__ = [
     "hermitize",
     "sym_eig",
     "herm_eig",
+    "psd_part",
     "psd_project",
     "gram_factor",
     "basis_to_e1",
@@ -90,15 +91,33 @@ def herm_eig(m) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vectors)
 
 
+def psd_part(m: np.ndarray) -> np.ndarray:
+    """Positive part of a symmetric or Hermitian matrix, without input checks.
+
+    Keeps the eigenpairs with positive eigenvalue and recomposes; eigh reads
+    one triangle only.  The result is bitwise symmetric (Hermitian).  This is
+    the solver's inner kernel; ``psd_project`` is the checked entry point.
+    """
+    values, vectors = np.linalg.eigh(m)
+    pos = values > 0.0
+    if not np.any(pos):
+        return np.zeros_like(m)
+    vp = vectors[:, pos]
+    p = (vp * values[pos]) @ vp.conj().T
+    return (p + p.conj().T) / 2.0
+
+
 def psd_project(m) -> np.ndarray:
     """Nearest positive-semidefinite matrix in Frobenius norm.
 
-    Clips negative eigenvalues to zero and recomposes; idempotent up to
-    roundoff.
+    Accepts real symmetric or complex Hermitian input.  Clips negative
+    eigenvalues to zero and recomposes; idempotent up to roundoff.
     """
-    eig = sym_eig(m)
-    clipped = np.clip(eig.values, 0.0, None)
-    return symmetrize((eig.vectors * clipped) @ eig.vectors.T)
+    a = _as_square(m)
+    if a.shape[0] == 0:
+        raise ValueError("matrix must have size >= 1")
+    _check_symmetry(a, "matrix")
+    return psd_part(hermitize(a) if np.iscomplexobj(a) else symmetrize(a))
 
 
 def gram_factor(x, rank_tol: float = 1e-7) -> np.ndarray:

@@ -8,10 +8,10 @@ The program solved is
 over real symmetric X, or over Hermitian X for the complex variant.  The
 solver is a first-order operator splitting (ADMM / boundary-point style):
 the affine constraints admit an exact closed-form projection, which is
-alternated with a PSD projection under a scaled dual update.  The complex
-program is run on the 2n x 2n real embedding [[A, -B], [B, A]] of
-X = A + iB (A symmetric, B antisymmetric), which is PSD exactly when X is,
-with the trace and edge constraints applied blockwise.
+alternated with a PSD projection under a scaled dual update.  Both fields
+run the same loop on n x n matrices; the Hermitian program works on complex
+X directly, since the projection and the eigendecomposition it needs take
+complex Hermitian input as they take real symmetric input.
 
 Reported values are evaluated at the final feasibility-projected iterate,
 so a returned solution is exactly affine-feasible and PSD up to the
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import ExclusivityGraph
-from .numerics import hermitize, symmetrize
+from .numerics import psd_part
 
 __all__ = [
     "ThetaSolution",
@@ -68,45 +68,32 @@ def affine_project(x, g: ExclusivityGraph) -> np.ndarray:
 
     Closed form: zero both triangles on every edge, then shift the diagonal
     by (1 - trace)/n.  The two constraint families act on disjoint entries,
-    so the composition is the exact affine projection.
+    so the composition is the exact affine projection.  Complex input stays
+    complex: edges lose their real and imaginary parts, and the shift uses
+    the trace's real part, so Hermitian input gives Hermitian output.
     """
-    a = np.array(x, dtype=float)
+    a = np.array(x, dtype=complex if np.iscomplexobj(x) else float)
     if a.ndim != 2 or a.shape != (g.n, g.n):
         raise ValueError(f"expected a {g.n} x {g.n} matrix, got shape {a.shape}")
     ei, ej = g.edge_arrays()
     a[ei, ej] = 0.0
     a[ej, ei] = 0.0
-    a.flat[:: g.n + 1] += (1.0 - float(np.trace(a))) / g.n
+    a.flat[:: g.n + 1] += (1.0 - float(np.trace(a).real)) / g.n
     return a
 
 
-def _psd_part(m: np.ndarray) -> np.ndarray:
-    values, vectors = np.linalg.eigh(m)
-    pos = values > 0.0
-    if not np.any(pos):
-        return np.zeros_like(m)
-    vp = vectors[:, pos]
-    return symmetrize((vp * values[pos]) @ vp.T)
-
-
-def _solve_split(
-    project_affine,
-    affine_violation,
-    objective,
-    n_eff: int,
-    c_over_rho_of,
-    tol: float,
-    max_iters: int,
-):
-    """Shared ADMM loop; returns (X_report, value, primal, psd, iters, ok)."""
+def _solve(g: ExclusivityGraph, dtype, tol: float, max_iters: int) -> ThetaSolution:
+    """ADMM on n x n matrices of ``dtype`` (float: symmetric, complex: Hermitian)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
 
+    n = g.n
+    w_obj = weight_objective(g)
+    ei, ej = g.edge_arrays()
     rho = 1.0
-    c_rho = c_over_rho_of(rho)
-    x = project_affine(np.zeros((n_eff, n_eff)))
+    x = affine_project(np.zeros((n, n), dtype=dtype), g)
     z = x.copy()
     u = np.zeros_like(x)
 
@@ -120,17 +107,25 @@ def _solve_split(
 
     while iterations < max_iters:
         iterations += 1
-        x = project_affine(z - u + c_rho)
+        # The linear term is W/(2 rho) in both fields.  This is the step ADMM
+        # takes on the 2n x 2n real embedding [[A, -B], [B, A]] of X = A + iB,
+        # measured in n x n units: the embedding doubles squared Frobenius
+        # norms, so its objective W/2 per diagonal block halves the step.  With
+        # W/rho, Hermitian solves need more iterations and some hit the cap,
+        # and real solves never need fewer.
+        x = affine_project(z - u + w_obj / (2.0 * rho), g)
         z_prev = z
-        z = _psd_part(x + u)
+        z = psd_part(x + u)
         u = u + x - z
 
         if iterations % CHECK_EVERY == 0 or iterations == max_iters:
-            primal = affine_violation(z)
-            x_report = project_affine(z)
+            primal = abs(float(np.trace(z).real) - 1.0)
+            if ei.size:
+                primal = max(primal, float(np.max(np.abs(z[ei, ej]))))
+            x_report = affine_project(z, g)
             lam_min = float(np.linalg.eigvalsh(x_report)[0])
             psd_resid = max(0.0, -lam_min)
-            value = objective(x_report)
+            value = float(np.sum(w_obj * x_report).real)
             rel_change = abs(value - value_prev) / max(1.0, abs(value))
             value_prev = value
             if max(primal, psd_resid, rel_change) <= tol:
@@ -142,13 +137,18 @@ def _solve_split(
             if r_gap > 10.0 * s_gap and rho < 1e6:
                 rho *= 2.0
                 u /= 2.0
-                c_rho = c_over_rho_of(rho)
             elif s_gap > 10.0 * r_gap and rho > 1e-6:
                 rho /= 2.0
                 u *= 2.0
-                c_rho = c_over_rho_of(rho)
 
-    return x_report, value, primal, psd_resid, iterations, converged
+    return ThetaSolution(
+        X=x_report,
+        value=value,
+        primal_residual=primal,
+        psd_residual=psd_resid,
+        iterations=iterations,
+        converged=converged,
+    )
 
 
 def lovasz_theta(
@@ -161,59 +161,7 @@ def lovasz_theta(
     Deterministic for fixed (graph, tol, max_iters); on non-convergence the
     best feasibility-projected iterate is returned with converged=False.
     """
-    n = g.n
-    w_obj = weight_objective(g)
-    ei, ej = g.edge_arrays()
-
-    def project(m):
-        return affine_project(m, g)
-
-    def violation(z):
-        v = abs(float(np.trace(z)) - 1.0)
-        if ei.size:
-            v = max(v, float(np.max(np.abs(z[ei, ej]))))
-        return v
-
-    def objective(x):
-        return float(np.sum(w_obj * x))
-
-    x, value, primal, psd_resid, iters, ok = _solve_split(
-        project, violation, objective, n, lambda rho: w_obj / rho, tol, max_iters
-    )
-    return ThetaSolution(
-        X=x,
-        value=value,
-        primal_residual=primal,
-        psd_residual=psd_resid,
-        iterations=iters,
-        converged=ok,
-    )
-
-
-def _block_affine_project(y: np.ndarray, g: ExclusivityGraph) -> np.ndarray:
-    """Project onto embedded Hermitian matrices that satisfy the constraints.
-
-    The subspace image {[[A, -B], [B, A]] : A = A^T, B = -B^T} is projected
-    onto first, then edges are zeroed in both blocks and the trace of A is
-    normalized; each step is an orthogonal projection onto a superset of
-    the target affine set, and their directions are mutually orthogonal.
-    """
-    n = g.n
-    a = symmetrize((y[:n, :n] + y[n:, n:]) / 2.0)
-    b = (y[n:, :n] - y[:n, n:]) / 2.0
-    b = (b - b.T) / 2.0
-    ei, ej = g.edge_arrays()
-    a[ei, ej] = 0.0
-    a[ej, ei] = 0.0
-    b[ei, ej] = 0.0
-    b[ej, ei] = 0.0
-    a.flat[:: n + 1] += (1.0 - float(np.trace(a))) / n
-    out = np.empty_like(y)
-    out[:n, :n] = a
-    out[n:, n:] = a
-    out[:n, n:] = -b
-    out[n:, :n] = b
-    return out
+    return _solve(g, float, tol, max_iters)
 
 
 def lovasz_theta_complex(
@@ -226,43 +174,4 @@ def lovasz_theta_complex(
     Returns a Hermitian n x n X; its value always matches the real program
     (the optimal value is field-independent), which the test suite checks.
     """
-    n = g.n
-    w_obj = weight_objective(g)
-    ei, ej = g.edge_arrays()
-
-    def project(m):
-        return _block_affine_project(m, g)
-
-    def violation(z):
-        a = (z[:n, :n] + z[n:, n:]) / 2.0
-        b = (z[n:, :n] - z[:n, n:]) / 2.0
-        structured = np.empty_like(z)
-        structured[:n, :n] = a
-        structured[n:, n:] = a
-        structured[:n, n:] = -b
-        structured[n:, :n] = b
-        v = float(np.max(np.abs(z - structured))) if z.size else 0.0
-        v = max(v, abs(float(np.trace(a)) - 1.0))
-        if ei.size:
-            v = max(v, float(np.max(np.abs(a[ei, ej]))), float(np.max(np.abs(b[ei, ej]))))
-        return v
-
-    def objective(y):
-        return float(np.sum(w_obj * y[:n, :n]))
-
-    c_block = np.zeros((2 * n, 2 * n))
-    c_block[:n, :n] = w_obj / 2.0
-    c_block[n:, n:] = w_obj / 2.0
-
-    y, value, primal, psd_resid, iters, ok = _solve_split(
-        project, violation, objective, 2 * n, lambda rho: c_block / rho, tol, max_iters
-    )
-    x_herm = hermitize(y[:n, :n] + 1j * y[n:, :n])
-    return ThetaSolution(
-        X=x_herm,
-        value=value,
-        primal_residual=primal,
-        psd_residual=psd_resid,
-        iterations=iters,
-        converged=ok,
-    )
+    return _solve(g, complex, tol, max_iters)

@@ -1,6 +1,9 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,6 +240,15 @@ def test_nonpositive_tolerances_exit_2(pentagon_file, monkeypatch, capsys):
     code, _, err = run_cli(["orthograph", pentagon_file, "--ortho-tol", "0"],
                            capsys=capsys, monkeypatch=monkeypatch)
     assert code == 2
+
+
+def test_python_dash_m_matches_main(monkeypatch, capsys):
+    code, out, _ = run_cli(["instance", "kcbs"], capsys=capsys, monkeypatch=monkeypatch)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "loorkit", "instance", "kcbs"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, out)
 
 
 def test_run_config_validates():

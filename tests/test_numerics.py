@@ -77,12 +77,17 @@ def test_psd_project_fixes_psd_input():
 
 def test_psd_project_matches_clipping_oracle_and_is_idempotent():
     rng = np.random.default_rng(2)
-    for _ in range(25):
+    for trial in range(50):
+        hermitian = trial >= 25
         m = rng.standard_normal((7, 7))
-        m = (m + m.T) / 2
+        if hermitian:
+            m = m + 1j * rng.standard_normal((7, 7))
+        m = (m + m.conj().T) / 2
         p = psd_project(m)
+        assert np.iscomplexobj(p) == hermitian
+        assert np.array_equal(p, p.conj().T)
         vals, vecs = np.linalg.eigh(m)
-        oracle = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+        oracle = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
         assert np.max(np.abs(p - oracle)) <= 1e-10
         assert np.max(np.abs(psd_project(p) - p)) <= 1e-10
         assert np.linalg.eigvalsh(p)[0] >= -1e-10

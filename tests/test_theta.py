@@ -114,6 +114,37 @@ def test_affine_project_matches_least_squares_oracle():
         assert all(got[i, j] == 0.0 for i, j in g.edges)
 
 
+def test_affine_project_keeps_hermitian_input_hermitian():
+    rng = np.random.default_rng(11)
+    g = bbc21().graph
+    n = g.n
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    x = (z + z.conj().T) / 2
+    got = affine_project(x, g)
+    assert np.iscomplexobj(got)
+    assert np.array_equal(got, got.conj().T)
+    assert np.all(np.diagonal(got).imag == 0.0)
+    assert float(np.trace(got).real) == pytest.approx(1.0, abs=1e-12)
+    on_edge = np.zeros((n, n), dtype=bool)
+    for i, j in g.edges:
+        on_edge[i, j] = on_edge[j, i] = True
+        assert got[i, j].real == 0.0 and got[i, j].imag == 0.0
+    off_edge = ~on_edge
+    np.fill_diagonal(off_edge, False)
+    assert np.array_equal(got[off_edge], x[off_edge])
+    assert np.any(got[off_edge].imag != 0.0)
+
+
+@pytest.mark.parametrize("g", [bbc21().graph, odd_cycle(31)], ids=["bbc21", "C31"])
+def test_fields_follow_one_trajectory(g):
+    a = lovasz_theta(g)
+    b = lovasz_theta_complex(g)
+    assert a.converged and b.converged
+    assert a.iterations == b.iterations
+    assert abs(a.value - b.value) <= 1e-9
+    assert not np.iscomplexobj(a.X) and np.iscomplexobj(b.X)
+
+
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_odd_cycle_closed_form(n):
     sol = lovasz_theta(odd_cycle(n), tol=1e-7)
