@@ -34,11 +34,9 @@ from .numerics import (
     symmetrize,
 )
 from .realify import (
-    ProjectorRealifyDetails,
     block_embed,
     phase_align,
     projector_realify,
-    projector_realify_details,
     realify_map_M,
     vector_realify,
 )
@@ -83,11 +81,9 @@ __all__ = [
     "psd_project",
     "sym_eig",
     "symmetrize",
-    "ProjectorRealifyDetails",
     "block_embed",
     "phase_align",
     "projector_realify",
-    "projector_realify_details",
     "realify_map_M",
     "vector_realify",
     "ThetaSolution",

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,30 +21,12 @@ from . import loor as loor_mod
 from . import realify as realify_mod
 from . import theta as theta_mod
 
-__all__ = ["RunConfig", "main", "run"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NO_CONVERGENCE = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    tol: float = 1e-8
-    max_iters: int = 200_000
-    rank_tol: float = 1e-7
-    ortho_tol: float = 1e-9
-    fmt: str = "json"
-    output: str | None = None
-
-    def __post_init__(self):
-        for name in ("tol", "rank_tol", "ortho_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"--{name.replace('_', '-')} must be positive")
-        if self.max_iters < 1:
-            raise ValueError("--max-iters must be at least 1")
 
 
 def _read_text(path: str) -> str:
@@ -54,16 +36,16 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+def _emit(text: str, args) -> None:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
 
 
-def _render(payload: dict, cfg: RunConfig) -> str:
-    if cfg.fmt == "json":
+def _render(payload: dict, args) -> str:
+    if args.format == "json":
         return json.dumps(payload, indent=2)
     lines = []
     for key, value in payload.items():
@@ -86,70 +68,53 @@ def _load_rep(path: str) -> loor_mod.OrthRep:
     return loor_mod.parse_rep(_read_text(path))
 
 
-def _cfg_from(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        tol=getattr(args, "tol", 1e-8),
-        max_iters=getattr(args, "max_iters", 200_000),
-        rank_tol=getattr(args, "rank_tol", 1e-7),
-        ortho_tol=getattr(args, "ortho_tol", 1e-9),
-        fmt=args.format,
-        output=args.output,
-    )
-
-
 def _cmd_theta(args) -> int:
-    cfg = _cfg_from(args)
     g = _load_graph(args.graph_path)
     solve = theta_mod.lovasz_theta if args.field == "real" else theta_mod.lovasz_theta_complex
-    sol = solve(g, tol=cfg.tol, max_iters=cfg.max_iters)
+    sol = solve(g, tol=args.tol, max_iters=args.max_iters)
     _emit(_render({
         "value": sol.value,
         "converged": sol.converged,
         "primal_residual": sol.primal_residual,
         "psd_residual": sol.psd_residual,
         "iterations": sol.iterations,
-    }, cfg), cfg)
+    }, args), args)
     return EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
 
 
 def _cmd_alpha(args) -> int:
-    cfg = _cfg_from(args)
     g = _load_graph(args.graph_path)
     alpha, witness = graph_mod.independence_number(g)
-    _emit(_render({"alpha": alpha, "witness": list(witness)}, cfg), cfg)
+    _emit(_render({"alpha": alpha, "witness": list(witness)}, args), args)
     return EXIT_OK
 
 
 def _cmd_extract(args) -> int:
-    cfg = _cfg_from(args)
     g = _load_graph(args.graph_path)
-    sol = theta_mod.lovasz_theta(g, tol=cfg.tol, max_iters=cfg.max_iters)
+    sol = theta_mod.lovasz_theta(g, tol=args.tol, max_iters=args.max_iters)
     if not sol.converged:
-        print(f"solver did not converge within {cfg.max_iters} iterations", file=sys.stderr)
+        print(f"solver did not converge within {args.max_iters} iterations", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    rep = loor_mod.rep_from_gram(sol.X, g, rank_tol=cfg.rank_tol)
-    _emit(loor_mod.serialize_rep(rep, indent=2), cfg)
+    rep = loor_mod.rep_from_gram(sol.X, g, rank_tol=args.rank_tol)
+    _emit(loor_mod.serialize_rep(rep, indent=2), args)
     return EXIT_OK
 
 
 def _cmd_realify(args) -> int:
-    cfg = _cfg_from(args)
     rep = _load_rep(args.rep_path)
     n = rep.n
     g = graph_mod.ExclusivityGraph(n=n, weights=np.ones(n), edges=())
     convert = (realify_mod.projector_realify if args.method == "projector"
                else realify_mod.vector_realify)
-    _emit(loor_mod.serialize_rep(convert(rep, g), indent=2), cfg)
+    _emit(loor_mod.serialize_rep(convert(rep, g), indent=2), args)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    cfg = _cfg_from(args)
     rep = _load_rep(args.rep_path)
     g = _load_graph(args.graph)
     report = loor_mod.verify_rep(
-        rep, g, tol=cfg.tol, target=args.target, value_tol=args.value_tol,
+        rep, g, tol=args.tol, target=args.target, value_tol=args.value_tol,
         with_sic=args.sic,
     )
     payload = {
@@ -164,12 +129,11 @@ def _cmd_verify(args) -> int:
     if args.sic:
         payload["sic"] = report.sic
         payload["sic_spectrum"] = [float(x) for x in report.sic_spectrum]
-    _emit(_render(payload, cfg), cfg)
+    _emit(_render(payload, args), args)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
 def _cmd_orthograph(args) -> int:
-    cfg = _cfg_from(args)
     rep = _load_rep(args.rep_path)
     if args.weights is not None:
         try:
@@ -178,28 +142,45 @@ def _cmd_orthograph(args) -> int:
             raise ValueError(f"--weights must be comma-separated numbers: {exc}") from exc
     else:
         weights = None
-    g = graph_mod.orthogonality_graph(rep.vectors, weights, tol=cfg.ortho_tol)
+    g = graph_mod.orthogonality_graph(rep.vectors, weights, tol=args.ortho_tol)
     worst = graph_mod.max_edge_overlap(rep.vectors, g)
-    print(f"orthogonality threshold {cfg.ortho_tol!r}, "
+    print(f"orthogonality threshold {args.ortho_tol!r}, "
           f"max accepted-edge overlap {worst!r}", file=sys.stderr)
-    _emit(graph_mod.serialize_graph(g, indent=2), cfg)
+    _emit(graph_mod.serialize_graph(g, indent=2), args)
     return EXIT_OK
 
 
 def _cmd_instance(args) -> int:
-    cfg = _cfg_from(args)
     by_name = {inst.name: inst for inst in instances_mod.all_instances()}
     if args.name not in by_name:
         raise ValueError(f"unknown instance {args.name!r}; available: {sorted(by_name)}")
     inst = by_name[args.name]
     if args.what == "graph":
-        _emit(graph_mod.serialize_graph(inst.graph, indent=2), cfg)
+        _emit(graph_mod.serialize_graph(inst.graph, indent=2), args)
         return EXIT_OK
     rep = inst.complex_rep if args.what == "rep-complex" else inst.real_rep
     if rep is None:
         raise ValueError(f"instance {args.name!r} has no {args.what} representation")
-    _emit(loor_mod.serialize_rep(rep, indent=2), cfg)
+    _emit(loor_mod.serialize_rep(rep, indent=2), args)
     return EXIT_OK
+
+
+def _checked(convert, accept, requirement: str):
+    """argparse ``type=`` that converts, then checks; argparse names the flag."""
+    def parse(text: str):
+        try:
+            x = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
+        if not accept(x):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return x
+    return parse
+
+
+_positive = _checked(float, lambda x: x > 0 and math.isfinite(x), "positive and finite")
+_finite = _checked(float, math.isfinite, "finite")
+_at_least_one = _checked(int, lambda k: k >= 1, "at least 1")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -208,8 +189,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iters", type=int, default=200_000, dest="max_iters")
+    p.add_argument("--tol", type=_positive, default=1e-8)
+    p.add_argument("--max-iters", type=_at_least_one, default=200_000, dest="max_iters")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="solve, then extract a representation")
     p.add_argument("graph_path", nargs="?", default="-")
     _add_solver_opts(p)
-    p.add_argument("--rank-tol", type=float, default=1e-7, dest="rank_tol")
+    p.add_argument("--rank-tol", type=_positive, default=1e-7, dest="rank_tol")
     _add_common(p)
     p.set_defaults(func=_cmd_extract)
 
@@ -248,9 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a representation against a graph")
     p.add_argument("rep_path", nargs="?", default="-")
     p.add_argument("--graph", required=True, help="graph file the representation claims")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--target", type=float, default=None)
-    p.add_argument("--value-tol", type=float, default=1e-6, dest="value_tol")
+    p.add_argument("--tol", type=_positive, default=1e-8)
+    p.add_argument("--target", type=_finite, default=None)
+    p.add_argument("--value-tol", type=_positive, default=1e-6, dest="value_tol")
     p.add_argument("--sic", action="store_true", help="report the operator spectrum")
     _add_common(p)
     p.set_defaults(func=_cmd_verify)
@@ -258,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orthograph", help="derive the exclusivity graph of a vector file")
     p.add_argument("rep_path", nargs="?", default="-")
     p.add_argument("--weights", default=None, help="comma-separated vertex weights")
-    p.add_argument("--ortho-tol", type=float, default=1e-9, dest="ortho_tol")
+    p.add_argument("--ortho-tol", type=_positive, default=1e-9, dest="ortho_tol")
     _add_common(p)
     p.set_defaults(func=_cmd_orthograph)
 

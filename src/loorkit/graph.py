@@ -156,8 +156,8 @@ def orthogonality_graph(vectors, weights=None, tol: float = 1e-9) -> Exclusivity
     v = np.asarray(vectors)
     if v.ndim != 2:
         raise ValueError(f"vectors must form an (n, d) array, got shape {v.shape}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
     norms = np.linalg.norm(v, axis=1)
     bad = np.where(np.abs(norms - 1.0) > 1e-8)[0]
     if bad.size:

@@ -14,7 +14,6 @@ array [re, im].
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np

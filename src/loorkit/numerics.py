@@ -9,6 +9,7 @@ on a fixed build.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,8 +128,8 @@ def gram_factor(x, rank_tol: float = 1e-7) -> np.ndarray:
     y_i of Y is the vector attached to index i.  Raises on materially
     non-PSD input (an eigenvalue below -max(1e-6 * lambda_max, 1e-8)).
     """
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
+    if not (rank_tol > 0 and math.isfinite(rank_tol)):
+        raise ValueError("rank_tol must be positive and finite")
     eig = sym_eig(x)
     lam_max = max(float(eig.values[-1]), 0.0)
     if float(eig.values[0]) < -max(1e-6 * lam_max, 1e-8):

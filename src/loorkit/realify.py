@@ -2,26 +2,26 @@
 
 Everything rests on the PSD-preserving embedding of a Hermitian matrix
 A + iB into the real symmetric block matrix [[A, -B], [B, A]] (whose
-spectrum is that of A + iB with every multiplicity doubled).  Two
-constructions are provided:
+spectrum is that of A + iB with every multiplicity doubled), and on the
+map M that stacks a complex vector's real parts over its imaginary parts.
+M intertwines the two: block_embed(P) @ M(x) == M(P @ x).
 
-* ``projector_realify`` works on operators: each rank-1 projector embeds
-  into a rank-2 real projector, the embedded state splits into two rank-1
-  pieces, and compressing the projectors onto the chosen piece yields real
-  rank-1 projectors.  Output dimension 2d.
-* ``vector_realify`` works on vectors: rotate the handle onto the first
-  coordinate axis, rephase every vector so its handle overlap is real and
-  nonnegative, stack real and imaginary parts, and drop the coordinate
-  carrying the first component's imaginary part, which the rephasing
-  forces to zero.  Output dimension 2d - 1.
+Both constructions are one kernel, the real-over-imaginary stack of the
+phase-aligned vectors:
+
+* ``projector_realify`` (dimension 2d) is that stack.  It equals the
+  operator construction, which compresses each embedded rank-2 projector
+  Q_i = block_embed(v_i v_i^H) onto a rank-1 piece of the embedded state,
+  because Q_i M(psi) = M(<v_i|psi> v_i).
+* ``vector_realify`` (dimension 2d - 1) is the same stack with the handle
+  first rotated onto e1, minus coordinate d: it holds the imaginary part
+  of every first component, which the rephasing makes zero.
 
 Both preserve the achieved value and all edge orthogonalities exactly (up
 to roundoff).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,13 +34,8 @@ __all__ = [
     "realify_map_M",
     "phase_align",
     "projector_realify",
-    "projector_realify_details",
-    "ProjectorRealifyDetails",
     "vector_realify",
 ]
-
-# overlap |<psi|v_i>|^2 below which the compression formula divides by ~0
-DEGENERATE_OVERLAP_TOL = 1e-12
 
 HERMITIAN_TOL = 1e-10
 
@@ -71,12 +66,13 @@ def realify_map_M(v) -> np.ndarray:
     Real-linear and norm-preserving; for the output, <M(u)|M(v)> equals
     Re <u|v>.  Coordinate order is all real parts first, then all
     imaginary parts, matching the block layout of ``block_embed`` so that
-    block_embed(P) @ realify_map_M(x) == realify_map_M(P @ x).
+    block_embed(P) @ realify_map_M(x) == realify_map_M(P @ x).  An (n, d)
+    array maps row by row to an (n, 2d) array.
     """
     a = np.asarray(v, dtype=complex)
-    if a.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {a.shape}")
-    return np.concatenate([a.real, a.imag])
+    if a.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or an (n, d) array, got shape {a.shape}")
+    return np.concatenate([a.real, a.imag], axis=-1)
 
 
 def phase_align(rep: OrthRep) -> OrthRep:
@@ -94,84 +90,33 @@ def phase_align(rep: OrthRep) -> OrthRep:
 
 
 def projector_realify(rep: OrthRep, g: ExclusivityGraph) -> OrthRep:
-    """Operator-side conversion of a complex representation to dimension 2d."""
-    return projector_realify_details(rep, g).rep
+    """Operator-side conversion of a complex representation to dimension 2d.
 
-
-@dataclass
-class ProjectorRealifyDetails:
-    """Intermediates of the operator-side construction, for inspection.
-
-    rank2_projectors[i] is the embedded projector Q_i; embedded_state is
-    the rank-2 state (trace 1) the input state embeds into; rank1_state is
-    the selected trace-1/2 rank-1 piece whose normalized range vector is
-    the output handle; rank1_projectors[i] is the compression of Q_i onto
-    that piece (the outer product of output vector i).
+    With a = M(psi) and Q_i = block_embed(v_i v_i^H), the compression of Q_i
+    onto the rank-1 state a a^T / 2 is Q_i a a^T Q_i / (a^T Q_i a), the
+    outer product of Q_i a / |Q_i a| = M(phase * v_i) with the phase that
+    makes <psi|v_i> real and nonnegative.  So the output handle is M(psi)
+    and output vector i is M of the phase-aligned v_i.  A vector orthogonal
+    to the handle is left unrotated: any unit vector in range(Q_i) keeps
+    every orthogonality and contributes nothing to the value.
     """
-
-    rank2_projectors: np.ndarray
-    embedded_state: np.ndarray
-    rank1_state: np.ndarray
-    rank1_projectors: np.ndarray
-    rep: OrthRep
-
-
-def projector_realify_details(rep: OrthRep, g: ExclusivityGraph) -> ProjectorRealifyDetails:
     if rep.n != g.n:
         raise ValueError(f"representation has {rep.n} vectors but graph has {g.n} vertices")
-    r = rep.as_complex()
-    d = r.dim
-    a = realify_map_M(r.handle)
-
-    q_blocks = np.empty((r.n, 2 * d, 2 * d))
-    q1_blocks = np.empty_like(q_blocks)
-    w_vectors = np.empty((r.n, 2 * d))
-    for i in range(r.n):
-        q = block_embed(np.outer(r.vectors[i], r.vectors[i].conj()))
-        q_blocks[i] = q
-        qa = q @ a
-        weight = float(a @ qa)  # equals |<psi|v_i>|^2
-        if weight > DEGENERATE_OVERLAP_TOL:
-            w = qa / np.linalg.norm(qa)
-        else:
-            # Compression onto the state divides by a vanishing overlap;
-            # any unit vector in range(Q_i) keeps all orthogonalities, so
-            # take the canonical one, the embedded input vector.
-            w = realify_map_M(r.vectors[i])
-        w_vectors[i] = w
-        q1_blocks[i] = np.outer(w, w)
-
-    embedded_state = block_embed(np.outer(r.handle, r.handle.conj())) / 2.0
-    rank1_state = np.outer(a, a) / 2.0
-    out = OrthRep("real", 2 * d, a, w_vectors)
-    return ProjectorRealifyDetails(
-        rank2_projectors=q_blocks,
-        embedded_state=embedded_state,
-        rank1_state=rank1_state,
-        rank1_projectors=q1_blocks,
-        rep=out,
-    )
+    aligned = phase_align(rep)
+    return OrthRep("real", 2 * aligned.dim, realify_map_M(aligned.handle),
+                   realify_map_M(aligned.vectors))
 
 
 def vector_realify(rep: OrthRep, g: ExclusivityGraph) -> OrthRep:
     """Vector-side conversion of a complex representation to dimension 2d - 1.
 
-    Pipeline: rotate so the handle is e1, align phases, stack real over
-    imaginary parts, then delete the coordinate holding the first
-    component's imaginary part (zero for the handle by construction and
-    for every vector because its handle overlap was made real).
+    Rotate the handle onto e1, take ``projector_realify``, then delete
+    coordinate d, the imaginary part of the first component: zero for the
+    handle e1, and zero for every vector because its handle overlap, its
+    first component, was made real.
     """
-    if rep.n != g.n:
-        raise ValueError(f"representation has {rep.n} vectors but graph has {g.n} vertices")
     r = rep.as_complex()
     d = r.dim
     u = basis_to_e1(r.handle)
-    rotated = OrthRep("complex", d, u @ r.handle, r.vectors @ u.T)
-    aligned = phase_align(rotated)
-
-    keep = np.concatenate([np.arange(d), np.arange(d + 1, 2 * d)])
-    handle = realify_map_M(aligned.handle)[keep]
-    vectors = np.empty((r.n, 2 * d - 1))
-    for i in range(r.n):
-        vectors[i] = realify_map_M(aligned.vectors[i])[keep]
-    return OrthRep("real", 2 * d - 1, handle, vectors)
+    out = projector_realify(OrthRep("complex", d, u @ r.handle, r.vectors @ u.T), g)
+    return OrthRep("real", 2 * d - 1, np.delete(out.handle, d), np.delete(out.vectors, d, axis=1))

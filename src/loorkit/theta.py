@@ -20,6 +20,7 @@ reported residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +85,8 @@ def affine_project(x, g: ExclusivityGraph) -> np.ndarray:
 
 def _solve(g: ExclusivityGraph, dtype, tol: float, max_iters: int) -> ThetaSolution:
     """ADMM on n x n matrices of ``dtype`` (float: symmetric, complex: Hermitian)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
 

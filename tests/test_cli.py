@@ -234,12 +234,19 @@ def test_bad_flags_exit_2(monkeypatch, capsys):
 
 
 def test_nonpositive_tolerances_exit_2(pentagon_file, monkeypatch, capsys):
-    code, _, err = run_cli(["theta", pentagon_file, "--tol", "-1"],
-                           capsys=capsys, monkeypatch=monkeypatch)
-    assert code == 2 and "positive" in err
-    code, _, err = run_cli(["orthograph", pentagon_file, "--ortho-tol", "0"],
-                           capsys=capsys, monkeypatch=monkeypatch)
-    assert code == 2
+    cases = [(command, flag, value)
+             for command, flag in (("theta", "--tol"), ("extract", "--rank-tol"),
+                                   ("verify", "--tol"), ("verify", "--value-tol"),
+                                   ("orthograph", "--ortho-tol"))
+             for value in ("-1", "0", "inf", "nan", "abc")]
+    cases += [("verify", "--target", value) for value in ("inf", "-inf", "nan", "abc")]
+    cases += [("theta", "--max-iters", value) for value in ("0", "-5", "1.5")]
+    for command, flag, value in cases:
+        extra = ["--graph", pentagon_file] if command == "verify" else []
+        code, out, err = run_cli([command, pentagon_file, *extra, flag, value],
+                                 capsys=capsys, monkeypatch=monkeypatch)
+        assert (code, out) == (2, ""), (command, flag, value)
+        assert f"argument {flag}:" in err, (command, flag, value, err)
 
 
 def test_python_dash_m_matches_main(monkeypatch, capsys):
@@ -249,13 +256,6 @@ def test_python_dash_m_matches_main(monkeypatch, capsys):
     proc = subprocess.run([sys.executable, "-m", "loorkit", "instance", "kcbs"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout) == (code, out)
-
-
-def test_run_config_validates():
-    with pytest.raises(ValueError, match="positive"):
-        cli.RunConfig(command="theta", rank_tol=0.0)
-    with pytest.raises(ValueError, match="max-iters"):
-        cli.RunConfig(command="theta", max_iters=0)
 
 
 def test_missing_file_exits_2(monkeypatch, capsys):

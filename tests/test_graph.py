@@ -134,6 +134,12 @@ def test_orthogonality_graph_rejects_bad_vectors():
         orthogonality_graph(np.ones(3))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("inf"), float("nan")])
+def test_orthogonality_graph_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        orthogonality_graph(kcbs().real_rep.vectors, tol=tol)
+
+
 def test_independence_pentagon():
     alpha, witness = independence_number(kcbs().graph)
     assert alpha == 2.0

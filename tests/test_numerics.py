@@ -127,6 +127,12 @@ def test_gram_factor_rejects_indefinite():
         gram_factor(np.diag([1.0, -0.5]))
 
 
+@pytest.mark.parametrize("rank_tol", [0.0, -1.0, float("inf"), float("nan")])
+def test_gram_factor_rejects_bad_rank_tol(rank_tol):
+    with pytest.raises(ValueError, match="rank_tol"):
+        gram_factor(np.eye(2), rank_tol=rank_tol)
+
+
 def test_basis_to_e1_identity_shortcut():
     psi = np.array([1.0, 0.0, 0.0])
     assert_allclose(basis_to_e1(psi), np.eye(3), atol=0)

@@ -10,7 +10,6 @@ from loorkit import (
     kcbs,
     phase_align,
     projector_realify,
-    projector_realify_details,
     realify_map_M,
     rep_value,
     vector_realify,
@@ -132,37 +131,42 @@ def test_projector_realify_single_vertex():
 
 
 def test_projector_realify_degenerate_overlap_falls_back():
+    # overlap 1e-8 makes the compression weight |<psi|v>|^2 = 1e-16, so the
+    # compression formula Q rho1 Q / (rho1 . Q) divides by almost zero
     g = ExclusivityGraph(n=2, weights=np.ones(2), edges=((0, 1),))
     vectors = np.array([[1, 0], [0, 1]], dtype=complex)
-    handle = np.array([0, 1], dtype=complex)  # orthogonal to vector 0
-    rep = OrthRep("complex", 2, handle, vectors)
-    out = projector_realify(rep, g)
-    assert_allclose(np.linalg.norm(out.vectors, axis=1), [1.0, 1.0], atol=1e-12)
-    assert abs(out.vectors[0] @ out.vectors[1]) <= 1e-12
-    assert rep_value(out, g) == pytest.approx(rep_value(rep, g), abs=1e-12)
+    for overlap in (0.0, 1e-8):
+        handle = np.array([overlap, np.sqrt(1.0 - overlap**2)], dtype=complex)
+        rep = OrthRep("complex", 2, handle, vectors)
+        for convert in (projector_realify, vector_realify):
+            out = convert(rep, g)
+            case = f"{convert.__name__}, overlap {overlap}"
+            assert_allclose(np.linalg.norm(out.vectors, axis=1), [1.0, 1.0], atol=1e-12,
+                            err_msg=case)
+            assert abs(out.vectors[0] @ out.vectors[1]) <= 1e-12, case
+            assert rep_value(out, g) == pytest.approx(rep_value(rep, g), abs=1e-12), case
 
 
-def test_projector_realify_details_match_the_construction():
+def test_projector_realify_is_the_compression_construction():
     inst = bbc21()
-    rep = inst.complex_rep
-    details = projector_realify_details(rep, inst.graph)
-    a = realify_map_M(rep.handle)
-
-    assert float(np.trace(details.embedded_state)) == pytest.approx(1.0, abs=1e-12)
-    assert_allclose(details.rank1_state, np.outer(a, a) / 2.0, atol=1e-14)
-    for i in range(rep.n):
-        q = details.rank2_projectors[i]
-        assert np.max(np.abs(q @ q - q)) <= 1e-12
-        assert float(np.trace(q)) == pytest.approx(2.0, abs=1e-12)
-        q1 = details.rank1_projectors[i]
-        assert np.max(np.abs(q1 @ q1 - q1)) <= 1e-12
-        assert float(np.trace(q1)) == pytest.approx(1.0, abs=1e-12)
-        weight = float(np.sum(details.rank1_state * q))
-        if weight > 1e-8:
-            # compression formula: Q_i rho1 Q_i / (rho1 . Q_i)
-            assert np.max(np.abs(q @ details.rank1_state @ q / weight - q1)) <= 1e-10
-            # the compressed projector keeps the whole pairing with rho1
-            assert float(np.sum(details.rank1_state * q1)) == pytest.approx(weight, abs=1e-12)
+    cases = [(inst.complex_rep, inst.graph)]
+    rng = np.random.default_rng(25)
+    cases += [random_complex_rep(rng, int(rng.integers(1, 7)), int(rng.integers(1, 12)))
+              for _ in range(10)]
+    for rep, g in cases:
+        out = projector_realify(rep, g)
+        a = realify_map_M(rep.handle)
+        assert np.array_equal(out.handle, a)
+        rho1 = np.outer(a, a) / 2.0  # rank-1 piece of the embedded state
+        for v, w in zip(rep.vectors, out.vectors):
+            q = block_embed(np.outer(v, v.conj()))
+            assert np.max(np.abs(q @ w - w)) <= 1e-12  # w lies in range(Q_i)
+            weight = float(np.sum(rho1 * q))
+            if weight > 1e-8:
+                # compression formula: Q_i rho1 Q_i / (rho1 . Q_i) = w w^T
+                assert np.max(np.abs(q @ rho1 @ q / weight - np.outer(w, w))) <= 1e-10
+                # the compressed projector keeps the whole pairing with rho1
+                assert float(w @ rho1 @ w) == pytest.approx(weight, abs=1e-12)
 
 
 def test_phase_align_flips_negative_overlap():

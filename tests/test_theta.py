@@ -203,8 +203,9 @@ def test_solves_are_deterministic():
 
 def test_rejects_bad_arguments():
     g = kcbs().graph
-    with pytest.raises(ValueError):
-        lovasz_theta(g, tol=0.0)
+    for tol in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            lovasz_theta(g, tol=tol)
     with pytest.raises(ValueError):
         lovasz_theta(g, max_iters=0)
     with pytest.raises(ValueError):
