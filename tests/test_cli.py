@@ -258,6 +258,19 @@ def test_python_dash_m_matches_main(monkeypatch, capsys):
     assert (proc.returncode, proc.stdout) == (code, out)
 
 
+def test_run_config_validates(capsys):
+    # the run configuration is checked as the flags are parsed, before any command runs
+    parser = cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["extract", "-", "--rank-tol", "0"])
+    assert exc.value.code == 2 and "positive" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["theta", "-", "--max-iters", "0"])
+    assert exc.value.code == 2 and "--max-iters" in capsys.readouterr().err
+    args = parser.parse_args(["theta", "-", "--tol", "1e-6", "--max-iters", "7"])
+    assert (args.tol, args.max_iters) == (1e-6, 7)
+
+
 def test_missing_file_exits_2(monkeypatch, capsys):
     code, _, err = run_cli(["alpha", "/definitely/not/here.json"],
                            capsys=capsys, monkeypatch=monkeypatch)
