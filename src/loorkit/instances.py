@@ -22,7 +22,7 @@ import numpy as np
 from .graph import ExclusivityGraph, orthogonality_graph
 from .loor import OrthRep, rep_value, verify_rep
 
-__all__ = ["NamedInstance", "kcbs", "bbc21", "self_test"]
+__all__ = ["NamedInstance", "all_instances", "kcbs", "bbc21", "self_test"]
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,13 @@ array [re, im].
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .graph import ExclusivityGraph
-from .numerics import gram_factor, herm_eig, hermitize, sym_eig, symmetrize
+from .graph import ExclusivityGraph, max_edge_overlap
+from .numerics import gram_factor, herm_eig, hermitize
 
 __all__ = [
     "OrthRep",
@@ -189,18 +190,22 @@ def verify_rep(
     value_tol: float = 1e-6,
     with_sic: bool = False,
 ) -> VerificationReport:
-    """Residual report for a representation; failures are reported, not raised."""
+    """Residual report for a representation; failures are reported, not raised.
+
+    Raises ValueError on a misaligned graph, on ``tol`` or ``value_tol``
+    not positive and finite, and on a non-finite ``target``.
+    """
     _check_aligned(rep, g)
+    for name, value in (("tol", tol), ("value_tol", value_tol)):
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if target is not None and not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target!r}")
     norms = np.concatenate(
         ([np.linalg.norm(rep.handle)], np.linalg.norm(rep.vectors, axis=1))
     )
     max_norm = float(np.max(np.abs(norms - 1.0)))
-    ei, ej = g.edge_arrays()
-    if ei.size:
-        inner = np.einsum("ij,ij->i", rep.vectors[ei].conj(), rep.vectors[ej])
-        max_edge = float(np.max(np.abs(inner)))
-    else:
-        max_edge = 0.0
+    max_edge = max_edge_overlap(rep.vectors, g)
     overlap = _overlaps(rep)
     value = float(np.dot(g.weights, overlap))
     passed = max_norm <= tol and max_edge <= tol
@@ -237,7 +242,7 @@ def gram_from_rep(rep: OrthRep, g: ExclusivityGraph) -> np.ndarray:
     amp = rep.vectors @ rep.handle.conj()  # <psi|v_i>
     scaled = (np.sqrt(g.weights) * np.conj(amp))[:, None] * rep.vectors
     x = scaled.conj() @ scaled.T / s
-    return symmetrize(x.real) if rep.field == "real" else hermitize(x)
+    return hermitize(x)
 
 
 def rep_from_gram(x, g: ExclusivityGraph, rank_tol: float = 1e-7) -> OrthRep:
@@ -248,8 +253,11 @@ def rep_from_gram(x, g: ExclusivityGraph, rank_tol: float = 1e-7) -> OrthRep:
     top eigenvector of the weighted projector sum at an optimum).  Vertices
     whose factor column vanishes get a fresh appended coordinate axis each,
     which keeps them unit and orthogonal to everything previously present.
+
+    A complex (Hermitian) X is replaced by its real part: Re X has the same
+    trace, zero edges and value, and is PSD, so it is a real optimum.
     """
-    a = np.asarray(x, dtype=float)
+    a = np.asarray(np.real(x), dtype=float)
     if a.shape != (g.n, g.n):
         raise ValueError(f"expected a {g.n} x {g.n} matrix, got shape {a.shape}")
     tr_dev = abs(float(np.trace(a)) - 1.0)
@@ -270,19 +278,14 @@ def rep_from_gram(x, g: ExclusivityGraph, rank_tol: float = 1e-7) -> OrthRep:
     if handle_norm <= 1e-10:
         raise ValueError("no handle recoverable: sum of weighted factor columns vanishes")
 
-    degenerate_tol = 1e-6 * float(np.max(norms))
-    degenerate = np.where(norms <= degenerate_tol)[0]
-    dim = r + degenerate.size
+    live = norms > 1e-6 * float(np.max(norms))
+    fresh = g.n - int(np.count_nonzero(live))
+    dim = r + fresh
     handle = np.zeros(dim)
     handle[:r] = handle_raw / handle_norm
     vectors = np.zeros((g.n, dim))
-    fresh = r
-    for i in range(g.n):
-        if norms[i] <= degenerate_tol:
-            vectors[i, fresh] = 1.0
-            fresh += 1
-        else:
-            vectors[i, :r] = y[:, i] / norms[i]
+    vectors[live, :r] = (y[:, live] / norms[live]).T
+    vectors[~live, r:] = np.eye(fresh)
     return OrthRep("real", dim, handle, vectors)
 
 
@@ -298,12 +301,8 @@ def certify_operator(
     """
     _check_aligned(rep, g)
     m = rep.vectors.T @ (g.weights[:, None] * rep.vectors.conj())
-    if rep.field == "real":
-        operator = symmetrize(m.real)
-        spectrum = sym_eig(operator).values
-    else:
-        operator = hermitize(m)
-        spectrum = herm_eig(operator).values
+    operator = hermitize(m)
+    spectrum = herm_eig(operator).values
     lam_max = float(spectrum[-1])
     dev = float(np.max(np.abs(operator - lam_max * np.eye(rep.dim))))
     return operator, spectrum, bool(dev <= SIC_TOL)

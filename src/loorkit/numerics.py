@@ -1,10 +1,11 @@
 """Dense linear algebra for desk-scale symmetric and Hermitian problems.
 
-Matrices are plain numpy arrays.  ``symmetrize``/``hermitize`` tighten
-almost-symmetric input into exactly symmetric storage, so downstream
-residual checks never see asymmetry noise.  Eigenproblems are delegated
-to LAPACK through numpy, which is deterministic for identical input bits
-on a fixed build.
+Matrices are plain numpy arrays, real symmetric or complex Hermitian;
+every routine keeps the input's field.  ``hermitize`` tightens
+almost-(conjugate-)symmetric input into exactly symmetric storage, so
+downstream residual checks never see asymmetry noise.  Eigenproblems are
+delegated to LAPACK through numpy, which is deterministic for identical
+input bits on a fixed build.
 """
 
 from __future__ import annotations
@@ -16,11 +17,8 @@ import numpy as np
 
 __all__ = [
     "EigenDecomposition",
-    "symmetrize",
     "hermitize",
-    "sym_eig",
     "herm_eig",
-    "psd_part",
     "psd_project",
     "gram_factor",
     "basis_to_e1",
@@ -42,53 +40,38 @@ class EigenDecomposition:
         return (v * self.values) @ v.conj().T
 
 
-def _as_square(m, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
-def symmetrize(m) -> np.ndarray:
-    """Return (M + M^T)/2, which is bitwise symmetric."""
-    a = np.asarray(m, dtype=float)
-    return (a + a.T) / 2.0
-
-
 def hermitize(m) -> np.ndarray:
-    """Return (M + M^H)/2, bitwise Hermitian with exactly real diagonal."""
-    a = np.asarray(m, dtype=complex)
+    """Return (M + M^H)/2: bitwise (conjugate) symmetric, real diagonal.
+
+    Real input stays real (float64), complex input stays complex.
+    """
+    a = np.asarray(m)
+    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     return (a + a.conj().T) / 2.0
 
 
-def _check_symmetry(a: np.ndarray, name: str) -> None:
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if dev > SYMMETRY_TOL * scale:
-        raise ValueError(f"{name} deviates from (conjugate) symmetry by {dev:.3e}")
-
-
-def sym_eig(m) -> EigenDecomposition:
-    """Eigendecomposition of a real symmetric matrix, spectrum ascending."""
-    a = _as_square(m)
-    if np.iscomplexobj(a):
-        raise ValueError("sym_eig expects a real matrix; use herm_eig for complex input")
+def _checked_hermitian(m) -> np.ndarray:
+    """Hermitized copy of a square, finite, nonempty, (conjugate) symmetric matrix."""
+    a = np.asarray(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValueError("matrix must have size >= 1")
-    _check_symmetry(a, "matrix")
-    values, vectors = np.linalg.eigh(symmetrize(a))
-    return EigenDecomposition(values=values, vectors=vectors)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains non-finite entries")
+    scale = max(1.0, float(np.max(np.abs(a))))
+    dev = float(np.max(np.abs(a - a.conj().T)))
+    if dev > SYMMETRY_TOL * scale:
+        raise ValueError(f"matrix deviates from (conjugate) symmetry by {dev:.3e}")
+    return hermitize(a)
 
 
 def herm_eig(m) -> EigenDecomposition:
-    """Eigendecomposition of a complex Hermitian matrix; real ascending values."""
-    a = _as_square(m)
-    if a.shape[0] == 0:
-        raise ValueError("matrix must have size >= 1")
-    _check_symmetry(a, "matrix")
-    values, vectors = np.linalg.eigh(hermitize(a))
+    """Eigendecomposition of a real symmetric or complex Hermitian matrix.
+
+    Values are real and ascending; vectors are in the input's field.
+    """
+    values, vectors = np.linalg.eigh(_checked_hermitian(m))
     return EigenDecomposition(values=values, vectors=vectors)
 
 
@@ -111,14 +94,11 @@ def psd_part(m: np.ndarray) -> np.ndarray:
 def psd_project(m) -> np.ndarray:
     """Nearest positive-semidefinite matrix in Frobenius norm.
 
-    Accepts real symmetric or complex Hermitian input.  Clips negative
-    eigenvalues to zero and recomposes; idempotent up to roundoff.
+    Accepts real symmetric or complex Hermitian input and keeps its field.
+    Clips negative eigenvalues to zero and recomposes; idempotent up to
+    roundoff.
     """
-    a = _as_square(m)
-    if a.shape[0] == 0:
-        raise ValueError("matrix must have size >= 1")
-    _check_symmetry(a, "matrix")
-    return psd_part(hermitize(a) if np.iscomplexobj(a) else symmetrize(a))
+    return psd_part(_checked_hermitian(m))
 
 
 def gram_factor(x, rank_tol: float = 1e-7) -> np.ndarray:
@@ -130,7 +110,9 @@ def gram_factor(x, rank_tol: float = 1e-7) -> np.ndarray:
     """
     if not (rank_tol > 0 and math.isfinite(rank_tol)):
         raise ValueError("rank_tol must be positive and finite")
-    eig = sym_eig(x)
+    if np.iscomplexobj(x):
+        raise ValueError("gram_factor expects a real matrix; take the real part first")
+    eig = herm_eig(x)
     lam_max = max(float(eig.values[-1]), 0.0)
     if float(eig.values[0]) < -max(1e-6 * lam_max, 1e-8):
         raise ValueError(

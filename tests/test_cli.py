@@ -317,6 +317,6 @@ def test_text_format_renders(pentagon_file, monkeypatch, capsys):
 
 
 def test_graph_document_roundtrip_through_cli(pentagon_file, monkeypatch, capsys):
-    text = open(pentagon_file).read()
+    text = Path(pentagon_file).read_text()
     g = parse_graph(text)
     assert serialize_graph(g, indent=2) + "\n" == text

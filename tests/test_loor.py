@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from loorkit import (
     gram_from_rep,
     kcbs,
     lovasz_theta,
+    lovasz_theta_complex,
     parse_rep,
     rep_from_gram,
     rep_value,
@@ -88,6 +90,19 @@ def test_verify_reports_failures_without_raising():
     assert report.value == pytest.approx(SQRT5, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    ("argument", "value"),
+    [(name, value) for name in ("tol", "value_tol")
+     for value in (0.0, -1.0, float("inf"), float("nan"))]
+    + [("target", value) for value in (float("inf"), float("-inf"), float("nan"))],
+)
+def test_verify_rep_rejects_bad_arguments(argument, value):
+    inst = bbc21()
+    kwargs = {"target": 29.0, argument: value}
+    with pytest.raises(ValueError, match=f"^{argument} must be"):
+        verify_rep(inst.real_rep, inst.graph, **kwargs)
+
+
 def test_report_value_consistent_with_overlaps():
     inst = bbc21()
     report = verify_rep(inst.real_rep, inst.graph)
@@ -145,6 +160,21 @@ def test_rep_from_gram_bbc_optimum():
     rep = rep_from_gram(sol.X, inst.graph)
     assert abs(rep_value(rep, inst.graph) - 29.0) <= 1e-3
     assert verify_rep(rep, inst.graph, tol=1e-6).passed
+
+
+@pytest.mark.parametrize("make", [kcbs, bbc21], ids=["kcbs", "bbc21"])
+def test_rep_from_gram_takes_the_real_part_of_a_hermitian_optimum(make):
+    inst = make()
+    x = lovasz_theta_complex(inst.graph).X
+    assert np.iscomplexobj(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = rep_from_gram(x, inst.graph)
+    assert rep.field == "real"
+    assert verify_rep(rep, inst.graph, tol=1e-6, target=inst.theta_reference).passed
+    from_real_part = rep_from_gram(x.real, inst.graph)
+    assert np.array_equal(rep.handle, from_real_part.handle)
+    assert np.array_equal(rep.vectors, from_real_part.vectors)
 
 
 def test_rep_from_gram_identity_over_n():

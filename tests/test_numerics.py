@@ -4,39 +4,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from loorkit import basis_to_e1, bbc21, certify_operator, gram_factor, herm_eig, psd_project, sym_eig
+from loorkit import basis_to_e1, bbc21, certify_operator, gram_factor, herm_eig, hermitize, psd_project
 
 
-def test_sym_eig_identity():
-    eig = sym_eig(np.eye(3))
+def test_herm_eig_real_identity():
+    eig = herm_eig(np.eye(3))
+    assert eig.vectors.dtype == np.float64
     assert_allclose(eig.values, [1.0, 1.0, 1.0], atol=1e-14)
 
 
-def test_sym_eig_known_diagonal_sorted_ascending():
-    eig = sym_eig(np.diag([29.0, 77 / 4, 17.0, 39 / 4, 12.0]))
+def test_herm_eig_real_known_diagonal_sorted_ascending():
+    eig = herm_eig(np.diag([29.0, 77 / 4, 17.0, 39 / 4, 12.0]))
+    assert eig.vectors.dtype == np.float64
     assert_allclose(eig.values, [39 / 4, 12.0, 17.0, 77 / 4, 29.0], atol=1e-12)
 
 
-def test_sym_eig_reconstructs_random_symmetric():
+def test_herm_eig_real_reconstructs_random_symmetric():
     rng = np.random.default_rng(0)
     for _ in range(20):
         m = rng.standard_normal((6, 6))
         m = (m + m.T) / 2
-        eig = sym_eig(m)
+        eig = herm_eig(m)
+        assert eig.vectors.dtype == np.float64
         scale = max(1.0, np.max(np.abs(m)))
         assert np.max(np.abs(eig.reconstruct() - m)) <= 1e-10 * scale
         assert np.max(np.abs(eig.vectors.T @ eig.vectors - np.eye(6))) <= 1e-10
 
 
-def test_sym_eig_rejects_bad_input():
+def test_herm_eig_rejects_bad_input():
     with pytest.raises(ValueError):
-        sym_eig(np.ones((2, 3)))
+        herm_eig(np.ones((2, 3)))
     with pytest.raises(ValueError):
-        sym_eig(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        herm_eig(np.array([[1.0, np.nan], [np.nan, 1.0]]))
     with pytest.raises(ValueError):
-        sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
-        sym_eig(np.eye(2, dtype=complex))
+        herm_eig(np.zeros((0, 0)))
 
 
 def test_herm_eig_identity():
@@ -79,10 +82,10 @@ def test_psd_project_matches_clipping_oracle_and_is_idempotent():
     rng = np.random.default_rng(2)
     for trial in range(50):
         hermitian = trial >= 25
-        m = rng.standard_normal((7, 7))
+        raw = rng.standard_normal((7, 7))
         if hermitian:
-            m = m + 1j * rng.standard_normal((7, 7))
-        m = (m + m.conj().T) / 2
+            raw = raw + 1j * rng.standard_normal((7, 7))
+        m = (raw + raw.conj().T) / 2
         p = psd_project(m)
         assert np.iscomplexobj(p) == hermitian
         assert np.array_equal(p, p.conj().T)
@@ -91,6 +94,10 @@ def test_psd_project_matches_clipping_oracle_and_is_idempotent():
         assert np.max(np.abs(p - oracle)) <= 1e-10
         assert np.max(np.abs(psd_project(p) - p)) <= 1e-10
         assert np.linalg.eigvalsh(p)[0] >= -1e-10
+        if not hermitian:
+            h = hermitize(raw)
+            assert h.dtype == np.float64
+            assert np.array_equal(h, (raw + raw.T) / 2)
 
 
 def test_gram_factor_identity():
@@ -120,6 +127,11 @@ def test_gram_factor_roundtrip_200_random_psd():
         y = gram_factor(x)
         worst = max(worst, float(np.max(np.abs(y.T @ y - x))))
     assert worst <= 1e-8
+
+
+def test_gram_factor_rejects_complex_input():
+    with pytest.raises(ValueError, match="real matrix"):
+        gram_factor(np.eye(2, dtype=complex))
 
 
 def test_gram_factor_rejects_indefinite():

@@ -28,3 +28,10 @@ def test_odd_cycle_scan_matches_the_closed_form():
     assert [int(row.split()[0]) for row in rows] == [5, 7, 9, 11, 13, 15]
     gaps = [float(row.split()[-1]) for row in rows]
     assert max(gaps) < 1e-8, rows
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
