@@ -3,7 +3,8 @@
 Exit codes: 0 success/verified, 1 verification failure, 2 input error,
 3 solver non-convergence.  Output is JSON by default (floats serialized
 with shortest round-trip representation, so identical runs are
-byte-identical); ``--format text`` renders small human tables.
+byte-identical); ``--format text`` renders the reports of ``theta``,
+``alpha`` and ``verify`` as small human tables.
 """
 
 from __future__ import annotations
@@ -183,14 +184,9 @@ _finite = _checked(float, math.isfinite, "finite")
 _at_least_one = _checked(int, lambda k: k >= 1, "at least 1")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--output", default=None, help="write to this path instead of stdout")
-
-
 def _add_solver_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=_positive, default=1e-8)
-    p.add_argument("--max-iters", type=_at_least_one, default=200_000, dest="max_iters")
+    p.add_argument("--tol", type=_positive, default=theta_mod.DEFAULT_TOL)
+    p.add_argument("--max-iters", type=_at_least_one, default=theta_mod.DEFAULT_MAX_ITERS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,25 +201,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph_path", nargs="?", default="-")
     p.add_argument("--field", choices=("real", "complex"), default="real")
     _add_solver_opts(p)
-    _add_common(p)
     p.set_defaults(func=_cmd_theta)
 
     p = sub.add_parser("alpha", help="exact weighted independence number")
     p.add_argument("graph_path", nargs="?", default="-")
-    _add_common(p)
     p.set_defaults(func=_cmd_alpha)
 
     p = sub.add_parser("extract", help="solve, then extract a representation")
     p.add_argument("graph_path", nargs="?", default="-")
     _add_solver_opts(p)
     p.add_argument("--rank-tol", type=_positive, default=1e-7, dest="rank_tol")
-    _add_common(p)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("realify", help="convert a complex representation to a real one")
     p.add_argument("rep_path", nargs="?", default="-")
     p.add_argument("--method", choices=("projector", "vector"), required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_realify)
 
     p = sub.add_parser("verify", help="check a representation against a graph")
@@ -233,22 +225,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=_finite, default=None)
     p.add_argument("--value-tol", type=_positive, default=1e-6, dest="value_tol")
     p.add_argument("--sic", action="store_true", help="report the operator spectrum")
-    _add_common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("orthograph", help="derive the exclusivity graph of a vector file")
     p.add_argument("rep_path", nargs="?", default="-")
     p.add_argument("--weights", default=None, help="comma-separated vertex weights")
     p.add_argument("--ortho-tol", type=_positive, default=1e-9, dest="ortho_tol")
-    _add_common(p)
     p.set_defaults(func=_cmd_orthograph)
 
     p = sub.add_parser("instance", help="emit a built-in instance document")
     p.add_argument("name")
     p.add_argument("--what", choices=("graph", "rep-complex", "rep-real"), default="graph")
-    _add_common(p)
     p.set_defaults(func=_cmd_instance)
 
+    for name in ("theta", "alpha", "verify"):  # the subcommands that print a report
+        sub.choices[name].add_argument("--format", choices=("json", "text"), default="json")
+    for p in sub.choices.values():
+        p.add_argument("--output", default=None, help="write to this path instead of stdout")
     return parser
 
 

@@ -1,7 +1,8 @@
 """Exclusivity graphs: data model, JSON wire format, derivation from vector
 families, and the exact weighted independence number (the classical bound).
 
-Wire format (UTF-8 JSON, 0-based vertices, edges canonical i < j ascending)::
+Wire format (UTF-8 JSON, 0-based vertices, edges canonical i < j ascending;
+``parse_graph`` decodes it, the ``ExclusivityGraph`` constructor validates it)::
 
     {"n": <int>, "weights": [<float> ...], "edges": [[<int>, <int>] ...]}
 """
@@ -10,9 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .numerics import UNIT_TOL, _norm_deviation
 
 __all__ = [
     "ExclusivityGraph",
@@ -31,12 +35,24 @@ class GraphFormatError(ValueError):
     """Raised when a graph document does not match the wire schema."""
 
 
+# Python and numpy read a bool as 0 or 1; no field of a document takes one.
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """A real number that converts to a double (JSON integers are unbounded)."""
+    return (_is_int(x) and abs(x) <= sys.float_info.max) or isinstance(x, (float, np.floating))
+
+
 @dataclass(frozen=True, eq=False)
 class ExclusivityGraph:
     """Vertex-weighted undirected graph; one vertex per measurement event.
 
-    Edges join mutually exclusive events.  Weights are positive and finite;
-    edges are stored canonically as sorted (i, j) pairs with i < j.
+    Edges join mutually exclusive events.  The constructor validates input
+    from any source (n a positive int, weights positive and finite, edges
+    in-range int pairs without self-loops) and stores edges canonically as
+    sorted (i, j) pairs with i < j.
     """
 
     n: int
@@ -44,21 +60,36 @@ class ExclusivityGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.n,):
-            raise ValueError(f"expected {self.n} weights, got shape {w.shape}")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise ValueError("weights must be positive and finite")
+        n = self.n
+        if not _is_int(n) or n < 1:
+            raise ValueError(f"'n' must be a positive integer, got {n!r}")
+        n = int(n)
+        w = self.weights
+        if not (isinstance(w, np.ndarray) and w.dtype.kind in "iuf"):
+            if not isinstance(w, (list, tuple, np.ndarray)) or len(w) != n:
+                raise ValueError(f"'weights' must be a list of {n} numbers")
+            for k, x in enumerate(w):  # per entry: asarray would take True as 1.0
+                if not _is_number(x):
+                    raise ValueError(f"weights[{k}] must be a real number, got {x!r}")
+        w = np.asarray(w, dtype=float)
+        if w.shape != (n,):
+            raise ValueError(f"'weights' must be a list of {n} numbers, got shape {w.shape}")
+        bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"weights[{k}] must be positive and finite, got {float(w[k])!r}")
         canonical = set()
-        for pair in self.edges:
+        for k, pair in enumerate(self.edges):
+            if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2
+                    and _is_int(pair[0]) and _is_int(pair[1])):
+                raise ValueError(f"edges[{k}] must be a pair of integers, got {pair!r}")
             i, j = int(pair[0]), int(pair[1])
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edges[{k}] = {pair!r} out of range for n={n}")
             if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
-            canonical.add((min(i, j), max(i, j)))
+                raise ValueError(f"edges[{k}] is a self-loop at vertex {i}")
+            canonical.add((i, j) if i < j else (j, i))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "edges", tuple(sorted(canonical)))
 
@@ -91,49 +122,26 @@ class ExclusivityGraph:
         return e[:, 0], e[:, 1]
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise GraphFormatError(message)
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def parse_graph(text: str) -> ExclusivityGraph:
-    """Parse and validate a graph document; canonicalizes the edge list."""
+    """Decode a graph document; the constructor validates it.  Raises GraphFormatError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"malformed JSON: {exc}") from exc
-    _require(isinstance(doc, dict), "graph document must be a JSON object")
+    if not isinstance(doc, dict):
+        raise GraphFormatError("graph document must be a JSON object")
     unknown = set(doc) - {"n", "weights", "edges"}
-    _require(not unknown, f"unknown fields: {sorted(unknown)}")
+    if unknown:
+        raise GraphFormatError(f"unknown fields: {sorted(unknown)}")
     for key in ("n", "weights", "edges"):
-        _require(key in doc, f"missing field '{key}'")
-
-    n = doc["n"]
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
-             f"'n' must be a positive integer, got {n!r}")
-    weights = doc["weights"]
-    _require(isinstance(weights, list) and len(weights) == n,
-             f"'weights' must be a list of {n} numbers")
-    for k, w in enumerate(weights):
-        _require(_is_number(w), f"weights[{k}] must be a number, got {w!r}")
-        _require(math.isfinite(w) and w > 0, f"weights[{k}] must be positive, got {w!r}")
-    edges = doc["edges"]
-    _require(isinstance(edges, list), "'edges' must be a list of [i, j] pairs")
-    pairs = []
-    for k, e in enumerate(edges):
-        _require(isinstance(e, list) and len(e) == 2, f"edges[{k}] must be a pair [i, j]")
-        i, j = e
-        for side in (i, j):
-            _require(isinstance(side, int) and not isinstance(side, bool),
-                     f"edges[{k}] must contain integers, got {e!r}")
-        _require(0 <= i < n and 0 <= j < n, f"edges[{k}] = {e!r} out of range for n={n}")
-        _require(i != j, f"edges[{k}] is a self-loop at vertex {i}")
-        pairs.append((i, j))
-    return ExclusivityGraph(n=n, weights=np.array(weights, dtype=float), edges=tuple(pairs))
+        if key not in doc:
+            raise GraphFormatError(f"missing field '{key}'")
+    if not isinstance(doc["edges"], list):
+        raise GraphFormatError("'edges' must be a list of [i, j] pairs")
+    try:
+        return ExclusivityGraph(n=doc["n"], weights=doc["weights"], edges=doc["edges"])
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from exc
 
 
 def serialize_graph(g: ExclusivityGraph, indent: int | None = None) -> str:
@@ -149,19 +157,19 @@ def serialize_graph(g: ExclusivityGraph, indent: int | None = None) -> str:
 def orthogonality_graph(vectors, weights=None, tol: float = 1e-9) -> ExclusivityGraph:
     """Graph with an edge (i, j) exactly when |<v_i|v_j>| <= tol.
 
-    ``vectors`` is an (n, d) array (real or complex) of unit rows; weights
-    default to 1.  Inner products are invariant under a common unitary, so
-    the derived graph is too.
+    ``vectors`` is an (n, d) array (real or complex) of rows that are unit
+    within ``numerics.UNIT_TOL``; weights default to 1.  Inner products are
+    invariant under a common unitary, so the derived graph is too.
     """
     v = np.asarray(vectors)
     if v.ndim != 2:
         raise ValueError(f"vectors must form an (n, d) array, got shape {v.shape}")
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
-    norms = np.linalg.norm(v, axis=1)
-    bad = np.where(np.abs(norms - 1.0) > 1e-8)[0]
+    bad = np.flatnonzero(_norm_deviation(v) > UNIT_TOL)
     if bad.size:
-        raise ValueError(f"vector {bad[0]} is not unit (norm {norms[bad[0]]!r})")
+        k = int(bad[0])
+        raise ValueError(f"vector {k} is not unit (norm {float(np.linalg.norm(v[k]))!r})")
     n = v.shape[0]
     if weights is None:
         weights = np.ones(n)
@@ -169,7 +177,7 @@ def orthogonality_graph(vectors, weights=None, tol: float = 1e-9) -> Exclusivity
     iu, ju = np.triu_indices(n, k=1)
     mask = overlaps[iu, ju] <= tol
     edges = tuple(zip(iu[mask].tolist(), ju[mask].tolist()))
-    return ExclusivityGraph(n=n, weights=np.asarray(weights, dtype=float), edges=edges)
+    return ExclusivityGraph(n=n, weights=weights, edges=edges)
 
 
 def max_edge_overlap(vectors, g: ExclusivityGraph) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import ExclusivityGraph, orthogonality_graph
-from .loor import OrthRep, rep_value, verify_rep
+from .loor import OrthRep, verify_rep
 
 __all__ = ["NamedInstance", "all_instances", "kcbs", "bbc21", "self_test"]
 
@@ -154,16 +154,11 @@ def self_test() -> None:
         for rep in (inst.complex_rep, inst.real_rep):
             if rep is None:
                 continue
-            report = verify_rep(rep, inst.graph, tol=1e-10)
+            report = verify_rep(rep, inst.graph, tol=1e-10,
+                                target=inst.theta_reference, value_tol=1e-10)
             if not report.passed:
                 raise ValueError(
-                    f"instance {inst.name!r}: stored representation fails "
-                    f"verification (norm {report.max_norm_residual:.3e}, "
-                    f"edge {report.max_edge_residual:.3e})"
-                )
-            achieved = rep_value(rep, inst.graph)
-            if abs(achieved - inst.theta_reference) > 1e-10:
-                raise ValueError(
-                    f"instance {inst.name!r}: stored representation achieves "
-                    f"{achieved!r}, expected {inst.theta_reference!r}"
+                    f"instance {inst.name!r}: stored representation fails verification "
+                    f"(value {report.value!r} vs {inst.theta_reference!r}, norm "
+                    f"{report.max_norm_residual:.3e}, edge {report.max_edge_residual:.3e})"
                 )

@@ -8,7 +8,8 @@ Wire format (UTF-8 JSON)::
      "vectors": [[<scalar> ...] ...]}
 
 where a real scalar is a JSON number and a complex scalar a two-element
-array [re, im].
+array [re, im].  ``parse_rep`` decodes it, the ``OrthRep`` constructor
+validates it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .graph import ExclusivityGraph, max_edge_overlap
-from .numerics import gram_factor, herm_eig, hermitize
+from .graph import ExclusivityGraph, _is_int, _is_number, max_edge_overlap
+from .numerics import UNIT_TOL, _norm_deviation, gram_factor, herm_eig, hermitize
 
 __all__ = [
     "OrthRep",
@@ -35,7 +36,6 @@ __all__ = [
     "certify_operator",
 ]
 
-UNIT_TOL = 1e-8
 SIC_TOL = 1e-8
 
 
@@ -43,13 +43,26 @@ class RepFormatError(ValueError):
     """Raised when a representation document does not match the wire schema."""
 
 
+def _field_dtype(field) -> type:
+    """Scalar type of a representation's field; the one check of 'field'."""
+    if field not in ("real", "complex"):
+        raise ValueError(f"'field' must be 'real' or 'complex', got {field!r}")
+    return complex if field == "complex" else float
+
+
+def _max_norm_deviation(handle: np.ndarray, vectors: np.ndarray) -> float:
+    """Worst |norm - 1| over the handle and the vector rows."""
+    return float(np.max(np.concatenate(([_norm_deviation(handle)], _norm_deviation(vectors)))))
+
+
 @dataclass
 class OrthRep:
     """A handle vector plus one unit vector per graph vertex.
 
-    ``vectors`` has shape (n, dim) with row i aligned to vertex i of the
-    graph it represents; orthogonality on edges is checked by verify_rep,
-    not by the constructor.
+    ``vectors`` has shape (n, dim), n >= 1, with row i aligned to vertex i
+    of the graph it represents.  The constructor validates field, dim, and
+    that all vectors are finite and unit within ``numerics.UNIT_TOL``;
+    orthogonality on edges is checked by verify_rep.
     """
 
     field: str
@@ -58,21 +71,24 @@ class OrthRep:
     vectors: np.ndarray
 
     def __post_init__(self):
-        if self.field not in ("real", "complex"):
-            raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
-        dtype = complex if self.field == "complex" else float
+        dtype = _field_dtype(self.field)
+        if not _is_int(self.dim) or self.dim < 1:
+            raise ValueError(f"'dim' must be a positive integer, got {self.dim!r}")
+        dim = int(self.dim)
         handle = np.asarray(self.handle, dtype=dtype)
         vectors = np.asarray(self.vectors, dtype=dtype)
-        if handle.shape != (self.dim,):
-            raise ValueError(f"handle must have length {self.dim}, got shape {handle.shape}")
-        if vectors.ndim != 2 or vectors.shape[1] != self.dim:
-            raise ValueError(f"vectors must have shape (n, {self.dim}), got {vectors.shape}")
+        if handle.shape != (dim,):
+            raise ValueError(f"'handle' must have length {dim}, got shape {handle.shape}")
+        if vectors.ndim != 2 or vectors.shape[1] != dim:
+            raise ValueError(f"'vectors' must have shape (n, {dim}), got {vectors.shape}")
         if not (np.all(np.isfinite(handle)) and np.all(np.isfinite(vectors))):
             raise ValueError("representation contains non-finite entries")
-        norms = np.concatenate(([np.linalg.norm(handle)], np.linalg.norm(vectors, axis=1)))
-        worst = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
+        worst = _max_norm_deviation(handle, vectors)
         if worst > UNIT_TOL:
             raise ValueError(f"handle/vectors must be unit norm (worst deviation {worst:.3e})")
+        if vectors.shape[0] == 0:
+            raise ValueError("'vectors' must hold at least one vector, got none")
+        self.dim = dim
         self.handle = handle
         self.vectors = vectors
 
@@ -103,19 +119,25 @@ def _scalar_to_json(x, is_complex: bool):
     return [float(x.real), float(x.imag)] if is_complex else float(x)
 
 
-def _scalar_from_json(x, is_complex: bool, where: str):
-    if is_complex:
-        if (not isinstance(x, list) or len(x) != 2
-                or not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in x)):
-            raise RepFormatError(f"{where} must be a [re, im] pair, got {x!r}")
-        return complex(x[0], x[1])
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise RepFormatError(f"{where} must be a number, got {x!r}")
-    return float(x)
+def _scalars_from_json(x, is_complex: bool, where: str, length: int | None = None) -> list:
+    """Decode a JSON list of numbers, or of [re, im] pairs for a complex field.
+
+    A vector row passes the handle's ``length``.
+    """
+    if not isinstance(x, list):
+        raise ValueError(f"{where} must be a list of scalars, got {type(x).__name__}")
+    if length is not None and len(x) != length:
+        raise ValueError(f"{where} has {len(x)} entries but 'handle' has {length}")
+    kind = "a [re, im] pair" if is_complex else "a number"
+    for k, s in enumerate(x):
+        if not (isinstance(s, list) and len(s) == 2 and all(map(_is_number, s))
+                if is_complex else _is_number(s)):
+            raise ValueError(f"{where}[{k}] must be {kind}, got {s!r}")
+    return [complex(*s) for s in x] if is_complex else [float(s) for s in x]
 
 
 def parse_rep(text: str) -> OrthRep:
-    """Parse and validate a representation document."""
+    """Decode a representation document; the constructor validates it.  Raises RepFormatError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -128,28 +150,15 @@ def parse_rep(text: str) -> OrthRep:
     for key in ("field", "dim", "handle", "vectors"):
         if key not in doc:
             raise RepFormatError(f"missing field '{key}'")
-    if doc["field"] not in ("real", "complex"):
-        raise RepFormatError(f"'field' must be 'real' or 'complex', got {doc['field']!r}")
-    is_complex = doc["field"] == "complex"
-    dim = doc["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise RepFormatError(f"'dim' must be a positive integer, got {dim!r}")
-    if not isinstance(doc["handle"], list) or len(doc["handle"]) != dim:
-        raise RepFormatError(f"'handle' must be a list of {dim} scalars")
-    handle = [_scalar_from_json(x, is_complex, f"handle[{k}]")
-              for k, x in enumerate(doc["handle"])]
-    if not isinstance(doc["vectors"], list):
-        raise RepFormatError("'vectors' must be a list of vectors")
-    rows = []
-    for i, row in enumerate(doc["vectors"]):
-        if not isinstance(row, list) or len(row) != dim:
-            raise RepFormatError(f"vectors[{i}] must be a list of {dim} scalars")
-        rows.append([_scalar_from_json(x, is_complex, f"vectors[{i}][{k}]")
-                     for k, x in enumerate(row)])
-    dtype = complex if is_complex else float
     try:
-        return OrthRep(doc["field"], dim, np.array(handle, dtype=dtype),
-                       np.array(rows, dtype=dtype).reshape(len(rows), dim))
+        dtype = _field_dtype(doc["field"])
+        handle = _scalars_from_json(doc["handle"], dtype is complex, "handle")
+        if not isinstance(doc["vectors"], list):
+            raise ValueError("'vectors' must be a list of vectors")
+        rows = [_scalars_from_json(row, dtype is complex, f"vectors[{i}]", len(handle))
+                for i, row in enumerate(doc["vectors"])]
+        return OrthRep(doc["field"], doc["dim"], np.array(handle, dtype=dtype),
+                       np.array(rows, dtype=dtype).reshape(len(rows), len(handle)))
     except ValueError as exc:
         raise RepFormatError(str(exc)) from exc
 
@@ -201,10 +210,7 @@ def verify_rep(
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
     if target is not None and not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target!r}")
-    norms = np.concatenate(
-        ([np.linalg.norm(rep.handle)], np.linalg.norm(rep.vectors, axis=1))
-    )
-    max_norm = float(np.max(np.abs(norms - 1.0)))
+    max_norm = _max_norm_deviation(rep.handle, rep.vectors)
     max_edge = max_edge_overlap(rep.vectors, g)
     overlap = _overlaps(rep)
     value = float(np.dot(g.weights, overlap))

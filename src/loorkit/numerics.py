@@ -26,6 +26,8 @@ __all__ = [
 
 # relative tolerance for accepting input as symmetric / Hermitian
 SYMMETRY_TOL = 1e-8
+# absolute tolerance for accepting a vector as unit norm
+UNIT_TOL = 1e-8
 
 
 @dataclass
@@ -58,12 +60,19 @@ def _checked_hermitian(m) -> np.ndarray:
     if a.shape[0] == 0:
         raise ValueError("matrix must have size >= 1")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
+        raise ValueError("matrix must be finite and Hermitian, got non-finite entries")
     scale = max(1.0, float(np.max(np.abs(a))))
     dev = float(np.max(np.abs(a - a.conj().T)))
     if dev > SYMMETRY_TOL * scale:
-        raise ValueError(f"matrix deviates from (conjugate) symmetry by {dev:.3e}")
+        raise ValueError(f"matrix deviates from Hermitian (conjugate) symmetry by {dev:.3e}")
     return hermitize(a)
+
+
+def _norm_deviation(v) -> np.ndarray:
+    """|norm - 1| of a vector, or of each row of an (n, d) array."""
+    a = np.asarray(v)
+    norms = np.linalg.norm(a) if a.ndim == 1 else np.linalg.norm(a, axis=1)
+    return np.abs(norms - 1.0)
 
 
 def herm_eig(m) -> EigenDecomposition:
@@ -129,19 +138,17 @@ def basis_to_e1(psi) -> np.ndarray:
     Built from a Householder reflection whose mirror vector adds
     ``phase(psi[0]) * e1`` (the cancellation-free choice, + on a zero
     first component), followed by a deterministic row rescaling so the
-    image lands on +e1 with any phase absorbed.  Returns the identity
-    when psi is already e1 to within 1e-12.
+    image lands on +e1 with any phase absorbed.  psi must be unit within
+    ``UNIT_TOL``.  Returns the identity when psi is already e1 to within
+    1e-12.
     """
     v = np.asarray(psi)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"psi must be a nonempty vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("psi contains non-finite entries")
-    nrm = float(np.linalg.norm(v))
-    if nrm <= 1e-12:
-        raise ValueError("psi is the zero vector")
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError(f"psi must be a unit vector, got norm {nrm!r}")
+    if _norm_deviation(v) > UNIT_TOL:
+        raise ValueError(f"psi must be a unit vector, got norm {float(np.linalg.norm(v))!r}")
 
     is_complex = np.iscomplexobj(v)
     dtype = complex if is_complex else float

@@ -26,8 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import ExclusivityGraph
-from .loor import OrthRep
-from .numerics import basis_to_e1, hermitize
+from .loor import OrthRep, _check_aligned
+from .numerics import _checked_hermitian, basis_to_e1
 
 __all__ = [
     "block_embed",
@@ -37,27 +37,15 @@ __all__ = [
     "vector_realify",
 ]
 
-HERMITIAN_TOL = 1e-10
-
 
 def block_embed(m) -> np.ndarray:
-    """Embed Hermitian A + iB as the real symmetric block [[A, -B], [B, A]]."""
-    a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if dev > HERMITIAN_TOL * scale:
-        raise ValueError(f"matrix deviates from Hermitian by {dev:.3e}")
-    h = hermitize(a)
-    re, im = h.real, h.imag
-    n = a.shape[0]
-    out = np.empty((2 * n, 2 * n))
-    out[:n, :n] = re
-    out[n:, n:] = re
-    out[:n, n:] = -im
-    out[n:, :n] = im
-    return out
+    """Embed Hermitian A + iB as the real symmetric block [[A, -B], [B, A]].
+
+    The input must be square, nonempty, finite and Hermitian within
+    ``numerics.SYMMETRY_TOL`` (relative).
+    """
+    h = _checked_hermitian(m)
+    return np.block([[h.real, -h.imag], [h.imag, h.real]])
 
 
 def realify_map_M(v) -> np.ndarray:
@@ -100,8 +88,7 @@ def projector_realify(rep: OrthRep, g: ExclusivityGraph) -> OrthRep:
     to the handle is left unrotated: any unit vector in range(Q_i) keeps
     every orthogonality and contributes nothing to the value.
     """
-    if rep.n != g.n:
-        raise ValueError(f"representation has {rep.n} vectors but graph has {g.n} vertices")
+    _check_aligned(rep, g)
     aligned = phase_align(rep)
     return OrthRep("real", 2 * aligned.dim, realify_map_M(aligned.handle),
                    realify_map_M(aligned.vectors))

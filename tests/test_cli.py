@@ -129,6 +129,38 @@ def test_realify_vector_method_matches_reference(bbc_file, monkeypatch, capsys):
     assert np.max(np.abs(got.vectors - ref.vectors)) <= 1e-12
 
 
+def test_realify_vector_accepts_handle_unit_within_unit_tol(monkeypatch, capsys):
+    rep = bbc21().complex_rep
+    scaled = OrthRep("complex", rep.dim, rep.handle * (1 + 5e-9), rep.vectors)
+    code, out, err = run_cli(["realify", "--method", "vector"], stdin_text=serialize_rep(scaled),
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert parse_rep(out).dim == 5
+
+
+@pytest.mark.parametrize("command", [["realify", "--method", "vector"], ["orthograph"]])
+def test_rep_without_vectors_exits_2_naming_vectors(command, monkeypatch, capsys):
+    doc = '{"field": "complex", "dim": 2, "handle": [[1, 0], [0, 0]], "vectors": []}'
+    code, out, err = run_cli(command, stdin_text=doc, capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert "'vectors'" in err
+
+
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        (["alpha"], '{"n": 1, "weights": [1%s], "edges": []}', "weights[0]"),
+        (["realify", "--method", "vector"],
+         '{"field": "real", "dim": 1, "handle": [1%s], "vectors": [[1]]}', "handle[0]"),
+    ],
+)
+def test_integer_literal_beyond_double_range_exits_2(command, doc, field, monkeypatch, capsys):
+    code, out, err = run_cli(command, stdin_text=doc % ("0" * 400),
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field} ")
+
+
 def test_realify_projector_method(monkeypatch, capsys):
     code, rep_doc, _ = run_cli(["instance", "bbc21", "--what", "rep-complex"],
                                capsys=capsys, monkeypatch=monkeypatch)
@@ -231,6 +263,9 @@ def test_bad_flags_exit_2(monkeypatch, capsys):
     assert code == 2
     code, _, _ = run_cli(["realify", "-"], capsys=capsys, monkeypatch=monkeypatch)
     assert code == 2  # --method is required
+    code, out, _ = run_cli(["instance", "kcbs", "--format", "text"],
+                           capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")  # --format only where a report is rendered
 
 
 def test_nonpositive_tolerances_exit_2(pentagon_file, monkeypatch, capsys):

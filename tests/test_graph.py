@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from loorkit import (
     ExclusivityGraph,
     GraphFormatError,
+    OrthRep,
     bbc21,
     independence_number,
     kcbs,
@@ -65,11 +66,37 @@ def test_parse_single_vertex():
         ('{"n": 2, "weights": [1, 1], "edges": [], "extra": 1}', "unknown"),
         ('{"n": 2, "weights": [1, "x"], "edges": []}', r"weights\[1\]"),
         ("{not json", "malformed"),
+        ('{"n": 2, "weights": [1, 1], "edges": [[0, 1.5]]}', r"edges\[0\]"),
+        ('{"n": true, "weights": [1], "edges": []}', "'n'"),
+        ('{"n": 2, "weights": [true, 1], "edges": []}', r"weights\[0\]"),
     ],
 )
 def test_parse_errors_name_the_field(doc, fragment):
     with pytest.raises(GraphFormatError, match=fragment):
         parse_graph(doc)
+
+
+@pytest.mark.parametrize(
+    "make, fragment",
+    [
+        (lambda: ExclusivityGraph(3, np.ones(3), ((0, 1.7),)), r"edges\[0\]"),
+        (lambda: ExclusivityGraph(True, [1.0], ()), "'n'"),
+        (lambda: ExclusivityGraph(2, [True, True], ()), r"weights\[0\]"),
+        (lambda: OrthRep("real", True, [1.0], [[1.0]]), "'dim'"),
+    ],
+    ids=["float-endpoint", "bool-n", "bool-weights", "bool-dim"],
+)
+def test_constructors_reject_bad_fields(make, fragment):
+    # the constructors are the validators, so library callers get the same
+    # field-naming errors as documents read by the parsers
+    with pytest.raises(ValueError, match=fragment):
+        make()
+
+
+def test_constructor_accepts_numpy_integers():
+    g = ExclusivityGraph(np.int64(3), np.ones(3), ((np.int64(2), np.int32(0)),))
+    assert type(g.n) is int and g.edges == ((0, 2),)
+    assert parse_graph(serialize_graph(g)) == g
 
 
 def test_serialize_pentagon_is_canonical():
@@ -96,6 +123,26 @@ def test_parse_canonicalizes_scrambled_and_duplicate_edges():
 @settings(deadline=None, max_examples=80)
 @given(graphs())
 def test_parse_serialize_roundtrip(g):
+    assert parse_graph(serialize_graph(g)) == g
+
+
+@st.composite
+def accepted_graphs(draw, max_n=10):
+    """Any input the constructor accepts: positive finite float weights down to
+    subnormals, endpoints in either order, duplicate edges."""
+    n = draw(st.integers(1, max_n))
+    weights = draw(st.lists(
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        min_size=n, max_size=n))
+    vertex = st.integers(0, n - 1)
+    pairs = st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=2 * n)) if n > 1 else []
+    return ExclusivityGraph(n=n, weights=weights, edges=tuple(edges))
+
+
+@settings(deadline=None, max_examples=80)
+@given(accepted_graphs())
+def test_every_accepted_graph_roundtrips(g):
     assert parse_graph(serialize_graph(g)) == g
 
 

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from loorkit import (
@@ -283,6 +285,7 @@ def test_rep_json_complex_scalars_are_pairs():
     [
         ('{"field": "real", "dim": 1, "handle": [1.0]}', "vectors"),
         ('{"field": "odd", "dim": 1, "handle": [1.0], "vectors": []}', "field"),
+        ('{"field": "cplx", "dim": 1, "handle": [[1, 0]], "vectors": [[[1, 0]]]}', "'field'"),
         ('{"field": "real", "dim": 2, "handle": [1.0], "vectors": []}', "handle"),
         ('{"field": "complex", "dim": 1, "handle": [1.0], "vectors": []}', "re, im"),
         ('{"field": "real", "dim": 1, "handle": [2.0], "vectors": []}', "unit"),
@@ -298,3 +301,42 @@ def test_rep_parse_errors(doc, fragment):
 def test_orthrep_validates_norms():
     with pytest.raises(ValueError, match="unit"):
         OrthRep("real", 2, np.array([1.0, 1.0]), np.zeros((0, 2)))
+
+
+def test_rep_without_vectors_is_rejected_naming_vectors():
+    doc = '{"field": "complex", "dim": 2, "handle": [[1, 0], [0, 0]], "vectors": []}'
+    with pytest.raises(RepFormatError, match="'vectors'"):
+        parse_rep(doc)
+    with pytest.raises(ValueError, match="'vectors'"):
+        OrthRep("real", 2, np.array([1.0, 0.0]), np.zeros((0, 2)))
+
+
+@st.composite
+def unit_rows(draw, rows, dim, is_complex):
+    """(rows, dim) array of unit rows from arbitrary floats in [-1, 1]."""
+    entry = st.floats(-1.0, 1.0)
+    count = rows * dim * (2 if is_complex else 1)
+    a = np.array(draw(st.lists(entry, min_size=count, max_size=count)))
+    a = a.reshape(rows, dim, 2) @ [1.0, 1j] if is_complex else a.reshape(rows, dim)
+    a[np.linalg.norm(a, axis=1) < 1e-3] = np.eye(dim)[0]
+    return a / np.linalg.norm(a, axis=1)[:, None]
+
+
+@st.composite
+def reps(draw):
+    is_complex = draw(st.booleans())
+    dim = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
+    handle = draw(unit_rows(1, dim, is_complex))[0]
+    vectors = draw(unit_rows(n, dim, is_complex))
+    return OrthRep("complex" if is_complex else "real", dim, handle, vectors)
+
+
+@settings(deadline=None, max_examples=80)
+@given(reps())
+def test_every_accepted_rep_roundtrips_bitwise(rep):
+    back = parse_rep(serialize_rep(rep))
+    assert (back.field, back.dim) == (rep.field, rep.dim)
+    assert back.handle.dtype == rep.handle.dtype and back.vectors.dtype == rep.vectors.dtype
+    assert back.handle.tobytes() == rep.handle.tobytes()
+    assert back.vectors.tobytes() == rep.vectors.tobytes()

@@ -6,6 +6,7 @@ from loorkit import (
     ExclusivityGraph,
     OrthRep,
     bbc21,
+    verify_rep,
     block_embed,
     kcbs,
     phase_align,
@@ -44,6 +45,11 @@ def test_block_embed_rank1_projector_becomes_rank2():
 def test_block_embed_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         block_embed(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        with pytest.raises(ValueError, match="Hermitian"):
+            block_embed(np.array([[1.0, bad], [np.conj(bad), 1.0]]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            block_embed(np.array([[bad]]))
 
 
 def test_block_embed_psd_equivalence_200_random():
@@ -266,6 +272,16 @@ def test_procedures_agree_on_random_reps():
         assert abs(rep_value(proj, g) - value) <= 1e-9
         assert edge_residual(vec, g) <= 1e-10
         assert edge_residual(proj, g) <= 1e-10
+
+
+def test_vector_realify_accepts_a_handle_unit_within_unit_tol():
+    # 5e-9 off unit: inside the 1e-8 tolerance every layer applies
+    inst = bbc21()
+    rep = inst.complex_rep
+    scaled = OrthRep("complex", rep.dim, rep.handle * (1 + 5e-9), rep.vectors)
+    out = vector_realify(scaled, inst.graph)
+    assert out.field == "real" and out.dim == 5
+    assert verify_rep(out, inst.graph, tol=1e-8, target=29.0).passed
 
 
 def test_realify_rejects_misaligned_graph():
