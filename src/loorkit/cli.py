@@ -1,7 +1,8 @@
 """Command-line frontend: one subcommand per pipeline stage.
 
-Exit codes: 0 success/verified, 1 verification failure, 2 input error,
-3 solver non-convergence.  Output is JSON by default (floats serialized
+Exit codes: 0 success/verified, 1 verification failure (also an
+``extract`` whose own output fails ``verify``), 2 input error, 3 solver
+non-convergence.  Output is JSON by default (floats serialized
 with shortest round-trip representation, so identical runs are
 byte-identical); ``--format text`` renders the reports of ``theta``,
 ``alpha`` and ``verify`` as small human tables.
@@ -69,18 +70,30 @@ def _load_rep(path: str) -> loor_mod.OrthRep:
     return loor_mod.parse_rep(_read_text(path))
 
 
+def _report_unconverged(sol, args) -> None:
+    """Name on stderr each stop criterion the capped solve missed, with its last value."""
+    missed = "; ".join(f"{name} {value:.3e}" for name, value in sol.unmet(args.tol).items())
+    print(f"solver did not converge within {args.max_iters} iterations: "
+          f"{missed} above tol {args.tol!r}", file=sys.stderr)
+
+
 def _cmd_theta(args) -> int:
     g = _load_graph(args.graph_path)
     solve = theta_mod.lovasz_theta if args.field == "real" else theta_mod.lovasz_theta_complex
     sol = solve(g, tol=args.tol, max_iters=args.max_iters)
     _emit(_render({
         "value": sol.value,
+        "lower": sol.lower,
+        "upper": sol.upper,
         "converged": sol.converged,
         "primal_residual": sol.primal_residual,
         "psd_residual": sol.psd_residual,
         "iterations": sol.iterations,
     }, args), args)
-    return EXIT_OK if sol.converged else EXIT_NO_CONVERGENCE
+    if not sol.converged:
+        _report_unconverged(sol, args)
+        return EXIT_NO_CONVERGENCE
+    return EXIT_OK
 
 
 def _cmd_alpha(args) -> int:
@@ -94,9 +107,15 @@ def _cmd_extract(args) -> int:
     g = _load_graph(args.graph_path)
     sol = theta_mod.lovasz_theta(g, tol=args.tol, max_iters=args.max_iters)
     if not sol.converged:
-        print(f"solver did not converge within {args.max_iters} iterations", file=sys.stderr)
+        _report_unconverged(sol, args)
         return EXIT_NO_CONVERGENCE
     rep = loor_mod.rep_from_gram(sol.X, g, rank_tol=args.rank_tol)
+    report = loor_mod.verify_rep(rep, g, tol=args.tol)
+    if not report.passed:
+        print(f"extracted representation fails verification at tol {args.tol!r}: "
+              f"max norm residual {report.max_norm_residual:.3e}, "
+              f"max edge residual {report.max_edge_residual:.3e}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     _emit(loor_mod.serialize_rep(rep, indent=2), args)
     return EXIT_OK
 

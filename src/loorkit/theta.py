@@ -13,9 +13,32 @@ run the same loop on n x n matrices; the Hermitian program works on complex
 X directly, since the projection and the eigendecomposition it needs take
 complex Hermitian input as they take real symmetric input.
 
-Reported values are evaluated at the final feasibility-projected iterate,
-so a returned solution is exactly affine-feasible and PSD up to the
-reported residual.
+The loop runs on the normalized weights w / sum(w), so that W has unit
+trace, and scales value, lower and upper back by sum(w) at the end: theta
+is 1-homogeneous in w.  Residual balancing compares the splitting gap
+(in units of X) with rho times the change of the PSD iterate (in units of
+W); with W normalized the two are commensurate, and the iteration count
+does not depend on the scale of the weights.
+
+Every ``CHECK_EVERY`` iterations the solver certifies a bracket
+lower <= theta <= upper:
+
+- lower = (W . X + p sum(w)) / (1 + n p), with X the affine projection of
+  the PSD iterate and p its PSD residual (the magnitude of its most
+  negative eigenvalue).  (X + p I) / (1 + n p) is feasible and PSD, and
+  that is its objective.
+- upper = lambda_max(M), where M = W off the edges and M_ij = 2 rho u_ij
+  on them (u the scaled dual; M_ji is its conjugate).  Any Y supported on
+  the edges gives theta <= lambda_max(W + Y), the Lovász dual.
+
+Each end is widened by n eps sum(w) to cover the roundoff in computing
+it, so lower <= upper holds in floating point too.  The best bound seen
+on each side is kept.  The solve has converged when the primal residual
+and the PSD residual are at most tol and the relative gap
+(upper - lower) / upper is at most tol.  Reported values are evaluated
+at the final feasibility-projected iterate, so a returned solution is
+exactly affine-feasible and PSD up to the reported residual p; its value
+is not a bound and may exceed theta by up to n p sum(w).
 """
 
 from __future__ import annotations
@@ -41,21 +64,39 @@ DEFAULT_MAX_ITERS = 200_000
 CHECK_EVERY = 100
 
 
+def _unmet(primal: float, psd: float, lower: float, upper: float, tol: float) -> dict[str, float]:
+    """The stop criteria missed at ``tol``, by name, with their values."""
+    measured = (
+        ("primal residual", primal),
+        ("PSD residual", psd),
+        ("relative gap", (upper - lower) / upper),
+    )
+    return {name: value for name, value in measured if not value <= tol}
+
+
 @dataclass
 class ThetaSolution:
-    """SDP result with a feasibility certificate.
+    """SDP result with a feasibility certificate and a bracket on theta.
 
     X is exactly affine-feasible (trace 1, zero on edges); primal_residual
     bounds the affine violation of the PSD-side iterate it was projected
     from, psd_residual the magnitude of X's most negative eigenvalue.
+    lower <= theta <= upper is the best certified bracket the solve found.
     """
 
     X: np.ndarray
     value: float
+    lower: float
+    upper: float
     primal_residual: float
     psd_residual: float
     iterations: int
     converged: bool
+
+    def unmet(self, tol: float) -> dict[str, float]:
+        """Stop criteria this solution misses at ``tol``, by name, with their
+        last values; empty exactly when a solve at ``tol`` converged here."""
+        return _unmet(self.primal_residual, self.psd_residual, self.lower, self.upper, tol)
 
 
 def weight_objective(g: ExclusivityGraph) -> np.ndarray:
@@ -91,20 +132,27 @@ def _solve(g: ExclusivityGraph, dtype, tol: float, max_iters: int) -> ThetaSolut
         raise ValueError("max_iters must be at least 1")
 
     n = g.n
-    w_obj = weight_objective(g)
+    scale = g.weight_sum
+    w_obj = weight_objective(g) / scale  # unit trace
     ei, ej = g.edge_arrays()
     rho = 1.0
     x = affine_project(np.zeros((n, n), dtype=dtype), g)
     z = x.copy()
     u = np.zeros_like(x)
+    dual = w_obj.astype(dtype)  # the M of the upper bound; edges set per check
+    # each end of the bracket is widened by n eps sum(w): the order of the
+    # roundoff in W . X and in lambda_max of a matrix of norm at most 1,
+    # in the units of the weights
+    roundoff = n * np.finfo(float).eps * scale
 
-    value_prev = np.inf
     iterations = 0
     converged = False
     x_report = x
     primal = np.inf
     psd_resid = np.inf
     value = float("nan")
+    lower = -np.inf
+    upper = np.inf
 
     while iterations < max_iters:
         iterations += 1
@@ -124,12 +172,14 @@ def _solve(g: ExclusivityGraph, dtype, tol: float, max_iters: int) -> ThetaSolut
             if ei.size:
                 primal = max(primal, float(np.max(np.abs(z[ei, ej]))))
             x_report = affine_project(z, g)
-            lam_min = float(np.linalg.eigvalsh(x_report)[0])
-            psd_resid = max(0.0, -lam_min)
-            value = float(np.sum(w_obj * x_report).real)
-            rel_change = abs(value - value_prev) / max(1.0, abs(value))
-            value_prev = value
-            if max(primal, psd_resid, rel_change) <= tol:
+            psd_resid = max(0.0, -float(np.linalg.eigvalsh(x_report)[0]))
+            value = scale * float(np.sum(w_obj * x_report).real)
+            lower = max(lower, (value + psd_resid * scale) / (1.0 + n * psd_resid) - roundoff)
+            # 2 rho u is the dual of the PSD constraint in these units
+            dual[ei, ej] = 2.0 * rho * u[ei, ej]
+            dual[ej, ei] = dual[ei, ej].conj()
+            upper = min(upper, scale * float(np.linalg.eigvalsh(dual)[-1]) + roundoff)
+            if not _unmet(primal, psd_resid, lower, upper, tol):
                 converged = True
                 break
             # residual balancing on the splitting gap
@@ -145,6 +195,8 @@ def _solve(g: ExclusivityGraph, dtype, tol: float, max_iters: int) -> ThetaSolut
     return ThetaSolution(
         X=x_report,
         value=value,
+        lower=lower,
+        upper=upper,
         primal_residual=primal,
         psd_residual=psd_resid,
         iterations=iterations,

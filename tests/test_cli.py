@@ -8,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loorkit import OrthRep, bbc21, cli, parse_graph, parse_rep, serialize_graph, serialize_rep
+from loorkit import (
+    OrthRep, bbc21, cli, parse_graph, parse_rep, serialize_graph, serialize_rep, verify_rep,
+)
+from util import gnp
 
 
 def run_cli(args, stdin_text=None, monkeypatch=None, capsys=None):
@@ -70,10 +73,31 @@ def test_theta_truncated_json(tmp_path, monkeypatch, capsys):
 
 def test_theta_nonconvergence_exit_code(pentagon_file, monkeypatch, capsys):
     code, out, _ = run_cli(
-        ["theta", pentagon_file, "--max-iters", "100"], capsys=capsys, monkeypatch=monkeypatch
+        ["theta", pentagon_file, "--tol", "1e-16", "--max-iters", "300"],
+        capsys=capsys, monkeypatch=monkeypatch,
     )
     assert code == 3
     assert json.loads(out)["converged"] is False
+
+
+@pytest.mark.parametrize("command", ["theta", "extract"])
+def test_nonconvergence_names_the_missed_criterion(command, pentagon_file, monkeypatch, capsys):
+    code, _, err = run_cli(
+        [command, pentagon_file, "--tol", "1e-16", "--max-iters", "300"],
+        capsys=capsys, monkeypatch=monkeypatch,
+    )
+    assert code == 3
+    # the bracket, widened by its roundoff allowance, never closes to 1e-16
+    assert "300 iterations" in err and "relative gap" in err and "1e-16" in err
+
+
+def test_theta_reports_a_bracket_around_the_value(bbc_file, monkeypatch, capsys):
+    code, out, _ = run_cli(["theta", bbc_file], capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 0
+    report = json.loads(out)
+    assert list(report)[:3] == ["value", "lower", "upper"]
+    assert report["lower"] <= 29.0 <= report["upper"]
+    assert report["upper"] - report["lower"] <= 1e-8 * report["upper"]
 
 
 def test_alpha_pentagon_and_bbc(pentagon_file, bbc_file, monkeypatch, capsys):
@@ -103,6 +127,28 @@ def test_extract_pentagon_roundtrips_through_verify(pentagon_file, tmp_path, mon
     )
     assert code == 0
     assert json.loads(out)["passed"]
+
+
+@pytest.mark.parametrize("name", ["kcbs", "bbc21"])
+def test_extract_emits_a_rep_that_verifies(name, tmp_path, monkeypatch, capsys):
+    _, graph_doc, _ = run_cli(["instance", name], capsys=capsys, monkeypatch=monkeypatch)
+    path = tmp_path / "g.json"
+    path.write_text(graph_doc)
+    code, out, err = run_cli(["extract", str(path)], capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 0 and err == ""
+    assert verify_rep(parse_rep(out), parse_graph(graph_doc), tol=1e-8).passed
+
+
+def test_extract_refuses_its_own_output_when_it_fails_verify(tmp_path, monkeypatch, capsys):
+    # G(40, .3) converges at tol 1e-6, but the representation extracted
+    # from its X has edge overlaps near 0.08, so it must not be emitted
+    path = tmp_path / "g40.json"
+    path.write_text(serialize_graph(gnp(np.random.default_rng(0), 40, 0.3)))
+    code, out, err = run_cli(["extract", str(path), "--tol", "1e-6"],
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert "fails verification" in err and "edge residual" in err
 
 
 def test_extract_single_vertex(tmp_path, monkeypatch, capsys):

@@ -12,7 +12,22 @@ from loorkit import (
     lovasz_theta_complex,
     weight_objective,
 )
-from util import odd_cycle, odd_cycle_theta, random_graph
+from util import gnp, odd_cycle, odd_cycle_theta, random_graph
+
+
+def weighted_gnp20():
+    """G(20, .3) with weights log-uniform over six decades, as in the
+    weighted case of the benchmark's SDP corpus."""
+    rng = np.random.default_rng(3)
+    weights = 10.0 ** rng.uniform(0.0, 6.0, 20)
+    return gnp(rng, 20, 0.3, weights)
+
+
+def assert_certified(sol, tol):
+    assert sol.converged
+    assert sol.lower <= sol.upper
+    assert sol.upper - sol.lower <= tol * sol.upper
+    assert sol.unmet(tol) == {}
 
 
 def check_solution_feasibility(sol, g, tol):
@@ -191,6 +206,55 @@ def test_nonconvergence_is_reported_not_raised():
     assert not sol.converged
     assert sol.iterations == 300
     assert np.isfinite(sol.value)
+    assert "relative gap" in sol.unmet(1e-16)
+
+
+def test_g40_converges_with_a_certified_gap():
+    sol = lovasz_theta(gnp(np.random.default_rng(0), 40, 0.3), tol=1e-8)
+    assert_certified(sol, 1e-8)
+    assert sol.iterations <= 3_000
+
+
+def test_six_decade_weights_converge_within_10k():
+    sol = lovasz_theta(weighted_gnp20(), tol=1e-8, max_iters=10_000)
+    assert_certified(sol, 1e-8)
+
+
+REFERENCES = [("kcbs", kcbs().graph, np.sqrt(5.0)), ("bbc21", bbc21().graph, 29.0)] + [
+    (f"C{n}", odd_cycle(n), odd_cycle_theta(n)) for n in range(5, 33, 2)
+]
+
+
+@pytest.mark.parametrize("solve", [lovasz_theta, lovasz_theta_complex], ids=["real", "complex"])
+@pytest.mark.parametrize("g, reference", [case[1:] for case in REFERENCES],
+                         ids=[case[0] for case in REFERENCES])
+def test_reference_lies_in_the_bracket(g, reference, solve):
+    sol = solve(g)
+    assert_certified(sol, 1e-8)
+    assert sol.lower <= reference <= sol.upper
+
+
+@pytest.mark.parametrize("g", [bbc21().graph, weighted_gnp20()], ids=["bbc21", "gnp20-w"])
+def test_weight_scale_does_not_change_the_solve(g):
+    base = lovasz_theta(g)
+    assert base.converged
+    for factor in (1e3, 1e-3):
+        scaled = lovasz_theta(ExclusivityGraph(n=g.n, weights=g.weights * factor, edges=g.edges))
+        assert scaled.iterations == base.iterations
+        assert scaled.value == pytest.approx(base.value * factor, rel=1e-12, abs=0)
+        assert scaled.lower == pytest.approx(base.lower * factor, rel=1e-12, abs=0)
+        assert scaled.upper == pytest.approx(base.upper * factor, rel=1e-12, abs=0)
+
+
+def test_converged_brackets_meet_the_tolerance_on_random_graphs():
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        g = random_graph(rng, n_max=10, dyadic_weights=False)
+        for solve in (lovasz_theta, lovasz_theta_complex):
+            sol = solve(g, tol=1e-7)
+            assert_certified(sol, 1e-7)
+            alpha, _ = independence_number(g)
+            assert alpha <= sol.upper
 
 
 def test_solves_are_deterministic():

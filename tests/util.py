@@ -22,6 +22,18 @@ def random_graph(rng, n_max=10, p=0.4, dyadic_weights=True) -> ExclusivityGraph:
     return ExclusivityGraph(n=n, weights=weights, edges=edges)
 
 
+def gnp(rng, n: int, p: float, weights=None) -> ExclusivityGraph:
+    """Erdős–Rényi G(n, p): each pair i < j, in row-major order, is an edge
+    with probability p.  Unit weights unless ``weights`` is given."""
+    iu, ju = np.triu_indices(n, 1)
+    mask = rng.random(iu.size) < p
+    return ExclusivityGraph(
+        n=n,
+        weights=np.ones(n) if weights is None else weights,
+        edges=tuple(zip(iu[mask].tolist(), ju[mask].tolist())),
+    )
+
+
 def random_unitary(rng, d: int, complex_field=True) -> np.ndarray:
     """Haar-ish random unitary (or orthogonal) via sign-fixed QR."""
     z = rng.standard_normal((d, d))
