@@ -126,7 +126,7 @@ def parse_graph(text: str) -> ExclusivityGraph:
     """Decode a graph document; the constructor validates it.  Raises GraphFormatError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: too deeply nested
         raise GraphFormatError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise GraphFormatError("graph document must be a JSON object")

@@ -140,7 +140,7 @@ def parse_rep(text: str) -> OrthRep:
     """Decode a representation document; the constructor validates it.  Raises RepFormatError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: too deeply nested
         raise RepFormatError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise RepFormatError("representation document must be a JSON object")

@@ -61,6 +61,11 @@ def test_theta_complex_field(pentagon_file, monkeypatch, capsys):
     )
     assert code == 0
     assert abs(json.loads(out)["value"] - np.sqrt(5.0)) <= 1e-5
+    _, real_out, _ = run_cli(
+        ["theta", pentagon_file, "--field", "real", "--tol", "1e-6"],
+        capsys=capsys, monkeypatch=monkeypatch,
+    )
+    assert out == real_out
 
 
 def test_theta_truncated_json(tmp_path, monkeypatch, capsys):

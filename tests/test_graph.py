@@ -69,6 +69,7 @@ def test_parse_single_vertex():
         ('{"n": 2, "weights": [1, 1], "edges": [[0, 1.5]]}', r"edges\[0\]"),
         ('{"n": true, "weights": [1], "edges": []}', "'n'"),
         ('{"n": 2, "weights": [true, 1], "edges": []}', r"weights\[0\]"),
+        pytest.param("[" * 100_000, "malformed", id="deeply-nested-malformed"),
     ],
 )
 def test_parse_errors_name_the_field(doc, fragment):

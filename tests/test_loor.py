@@ -291,6 +291,7 @@ def test_rep_json_complex_scalars_are_pairs():
         ('{"field": "real", "dim": 1, "handle": [2.0], "vectors": []}', "unit"),
         ('{"field": "real", "dim": 1, "handle": [1.0], "vectors": [], "x": 0}', "unknown"),
         ("[1, 2]", "object"),
+        pytest.param("[" * 100_000, "malformed", id="deeply-nested-malformed"),
     ],
 )
 def test_rep_parse_errors(doc, fragment):

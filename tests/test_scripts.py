@@ -1,9 +1,11 @@
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import loorkit
+from loorkit import bbc21, cli, serialize_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,3 +37,13 @@ def test_readme_library_example_runs():
     section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_theta_example_matches_the_cli(tmp_path, capsys):
+    readme = (ROOT / "README.md").read_text()
+    after = readme.split("`loorkit theta bbc.json --tol 1e-6` prints", 1)[1]
+    documented = after.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "bbc.json"
+    path.write_text(serialize_graph(bbc21().graph))
+    assert cli.main(["theta", str(path), "--tol", "1e-6"]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(documented)

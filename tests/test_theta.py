@@ -30,6 +30,15 @@ def assert_certified(sol, tol):
     assert sol.unmet(tol) == {}
 
 
+def assert_is_the_real_solve(cplx, real):
+    """The Hermitian solve is the real one bitwise, with X cast to complex."""
+    assert np.iscomplexobj(cplx.X) and not np.iscomplexobj(real.X)
+    assert np.array_equal(cplx.X, real.X.astype(complex))
+    for name in ("value", "lower", "upper", "primal_residual", "psd_residual",
+                 "iterations", "converged"):
+        assert getattr(cplx, name) == getattr(real, name), name
+
+
 def check_solution_feasibility(sol, g, tol):
     x = sol.X
     assert abs(float(np.trace(x).real) - 1.0) <= max(sol.primal_residual, 1e-12)
@@ -74,6 +83,7 @@ def test_complex_matches_real_on_pentagon():
     assert np.iscomplexobj(sol.X)
     assert np.max(np.abs(sol.X - sol.X.conj().T)) == 0.0
     check_solution_feasibility(sol, g, 1e-6)
+    assert_is_the_real_solve(sol, lovasz_theta(g, tol=1e-6))
 
 
 def test_complex_bbc_value_is_29():
@@ -207,6 +217,7 @@ def test_nonconvergence_is_reported_not_raised():
     assert sol.iterations == 300
     assert np.isfinite(sol.value)
     assert "relative gap" in sol.unmet(1e-16)
+    assert_is_the_real_solve(lovasz_theta_complex(kcbs().graph, tol=1e-16, max_iters=300), sol)
 
 
 def test_g40_converges_with_a_certified_gap():
@@ -270,7 +281,8 @@ def test_rejects_bad_arguments():
     for tol in (0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="tol"):
             lovasz_theta(g, tol=tol)
-    with pytest.raises(ValueError):
-        lovasz_theta(g, max_iters=0)
+    for max_iters in (0, 2.5, True):
+        with pytest.raises(ValueError, match="max_iters"):
+            lovasz_theta(g, max_iters=max_iters)
     with pytest.raises(ValueError):
         affine_project(np.zeros((3, 3)), g)
