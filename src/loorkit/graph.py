@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import UNIT_TOL, _norm_deviation
+from .numerics import UNIT_TOL, _check_tol, _norm_deviation
 
 __all__ = [
     "ExclusivityGraph",
@@ -122,20 +122,26 @@ class ExclusivityGraph:
         return e[:, 0], e[:, 1]
 
 
-def parse_graph(text: str) -> ExclusivityGraph:
-    """Decode a graph document; the constructor validates it.  Raises GraphFormatError."""
+def _load_document(text: str, name: str, fields: tuple[str, ...], error: type[ValueError]) -> dict:
+    """Decode a JSON object holding exactly ``fields``; raise ``error`` if it does not."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: too deeply nested
-        raise GraphFormatError(f"malformed JSON: {exc}") from exc
+        raise error(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise GraphFormatError("graph document must be a JSON object")
-    unknown = set(doc) - {"n", "weights", "edges"}
+        raise error(f"{name} document must be a JSON object")
+    unknown = set(doc) - set(fields)
     if unknown:
-        raise GraphFormatError(f"unknown fields: {sorted(unknown)}")
-    for key in ("n", "weights", "edges"):
+        raise error(f"unknown fields: {sorted(unknown)}")
+    for key in fields:
         if key not in doc:
-            raise GraphFormatError(f"missing field '{key}'")
+            raise error(f"missing field '{key}'")
+    return doc
+
+
+def parse_graph(text: str) -> ExclusivityGraph:
+    """Decode a graph document; the constructor validates it.  Raises GraphFormatError."""
+    doc = _load_document(text, "graph", ("n", "weights", "edges"), GraphFormatError)
     if not isinstance(doc["edges"], list):
         raise GraphFormatError("'edges' must be a list of [i, j] pairs")
     try:
@@ -164,8 +170,7 @@ def orthogonality_graph(vectors, weights=None, tol: float = 1e-9) -> Exclusivity
     v = np.asarray(vectors)
     if v.ndim != 2:
         raise ValueError(f"vectors must form an (n, d) array, got shape {v.shape}")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError("tol must be positive and finite")
+    _check_tol("tol", tol)
     bad = np.flatnonzero(_norm_deviation(v) > UNIT_TOL)
     if bad.size:
         k = int(bad[0])
@@ -192,10 +197,14 @@ def max_edge_overlap(vectors, g: ExclusivityGraph) -> float:
 def independence_number(g: ExclusivityGraph) -> tuple[float, tuple[int, ...]]:
     """Exact maximum-weight independent set: (alpha, witness).
 
-    Branch and bound on vertices in descending-weight order with bitset
-    adjacency and a greedy weighted clique cover as the pruning bound.
-    Among maximum sets, the witness is the lexicographically smallest; its
-    weight is returned as a correctly rounded sum (math.fsum).
+    Two branch-and-bound searches share bitset adjacency and a greedy
+    weighted clique cover as the pruning bound.  The first finds alpha,
+    branching on vertices in descending-weight order.  The second finds the
+    witness: it branches on the lowest-index vertex left and tries including
+    it before excluding it, so it reaches independent sets in lexicographic
+    order, and the first one within 1e-9 (relative) of alpha is the
+    lexicographically smallest maximum set.  Its weight is returned as a
+    correctly rounded sum (math.fsum).
     """
     n = g.n
     if n > MAX_EXACT_VERTICES:
@@ -225,50 +234,34 @@ def independence_number(g: ExclusivityGraph) -> tuple[float, tuple[int, ...]]:
                 ub += w[v]
         return ub
 
-    def best_value(mask0: int) -> float:
-        best = 0.0
-        m = mask0
-        for v in order:  # greedy start for early pruning
-            if (m >> v) & 1:
-                best += w[v]
-                m &= ~closed[v]
+    alpha = 0.0
 
-        def dfs(mask: int, acc: float) -> None:
-            nonlocal best
-            if acc > best:
-                best = acc
-            if not mask:
-                return
-            if acc + cover_bound(mask) <= best:
-                return
-            for v in order:
-                if (mask >> v) & 1:
-                    break
-            dfs(mask & ~closed[v], acc + w[v])
-            dfs(mask & ~(1 << v), acc)
-
-        dfs(mask0, 0.0)
-        return best
+    def dfs(mask: int, acc: float) -> None:
+        nonlocal alpha
+        if acc > alpha:
+            alpha = acc
+        if not mask:
+            return
+        if acc + cover_bound(mask) <= alpha:
+            return
+        for v in order:
+            if (mask >> v) & 1:
+                break
+        dfs(mask & ~closed[v], acc + w[v])
+        dfs(mask & ~(1 << v), acc)
 
     full = (1 << n) - 1
-    alpha = best_value(full)
-    eps = 1e-9 * max(1.0, abs(alpha))
+    dfs(full, 0.0)
+    floor = alpha - 1e-9 * max(1.0, abs(alpha))
 
-    # Lexicographically smallest witness: commit to each vertex in index
-    # order whenever some maximum set is still consistent with including it.
-    chosen: list[int] = []
-    mask = full
-    acc = 0.0
-    for v in range(n):
-        if not (mask >> v) & 1:
-            continue
-        rest = mask & ~closed[v]
-        if acc + w[v] + best_value(rest) >= alpha - eps:
-            chosen.append(v)
-            acc += w[v]
-            mask = rest
-        else:
-            mask &= ~(1 << v)
+    def first_set(mask: int, chosen: tuple[int, ...], acc: float) -> tuple[int, ...] | None:
+        if acc + cover_bound(mask) < floor:
+            return None
+        if not mask:
+            return chosen
+        v = (mask & -mask).bit_length() - 1  # lowest index left
+        found = first_set(mask & ~closed[v], chosen + (v,), acc + w[v])
+        return found if found is not None else first_set(mask & ~(1 << v), chosen, acc)
 
-    witness = tuple(chosen)
+    witness = first_set(full, (), 0.0)
     return float(math.fsum(w[v] for v in witness)), witness

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .graph import ExclusivityGraph, _is_int, _is_number, max_edge_overlap
-from .numerics import UNIT_TOL, _norm_deviation, gram_factor, herm_eig, hermitize
+from .graph import ExclusivityGraph, _is_int, _is_number, _load_document, max_edge_overlap
+from .numerics import UNIT_TOL, _check_tol, _norm_deviation, gram_factor, herm_eig, hermitize
 
 __all__ = [
     "OrthRep",
@@ -138,18 +138,8 @@ def _scalars_from_json(x, is_complex: bool, where: str, length: int | None = Non
 
 def parse_rep(text: str) -> OrthRep:
     """Decode a representation document; the constructor validates it.  Raises RepFormatError."""
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: too deeply nested
-        raise RepFormatError(f"malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise RepFormatError("representation document must be a JSON object")
-    unknown = set(doc) - {"field", "dim", "handle", "vectors"}
-    if unknown:
-        raise RepFormatError(f"unknown fields: {sorted(unknown)}")
-    for key in ("field", "dim", "handle", "vectors"):
-        if key not in doc:
-            raise RepFormatError(f"missing field '{key}'")
+    doc = _load_document(text, "representation", ("field", "dim", "handle", "vectors"),
+                         RepFormatError)
     try:
         dtype = _field_dtype(doc["field"])
         handle = _scalars_from_json(doc["handle"], dtype is complex, "handle")
@@ -202,14 +192,14 @@ def verify_rep(
     """Residual report for a representation; failures are reported, not raised.
 
     Raises ValueError on a misaligned graph, on ``tol`` or ``value_tol``
-    not positive and finite, and on a non-finite ``target``.
+    not positive and finite, and on a ``target`` that is not a finite
+    number; a bool is refused for all three.
     """
     _check_aligned(rep, g)
-    for name, value in (("tol", tol), ("value_tol", value_tol)):
-        if not (value > 0 and math.isfinite(value)):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    if target is not None and not math.isfinite(target):
-        raise ValueError(f"target must be finite, got {target!r}")
+    _check_tol("tol", tol)
+    _check_tol("value_tol", value_tol)
+    if target is not None and not (_is_number(target) and math.isfinite(target)):
+        raise ValueError(f"target must be a finite number, got {target!r}")
     max_norm = _max_norm_deviation(rep.handle, rep.vectors)
     max_edge = max_edge_overlap(rep.vectors, g)
     overlap = _overlaps(rep)

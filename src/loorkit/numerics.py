@@ -68,6 +68,12 @@ def _checked_hermitian(m) -> np.ndarray:
     return hermitize(a)
 
 
+def _check_tol(name: str, value) -> None:
+    """Refuse a tolerance that is a bool or not a positive, finite number."""
+    if isinstance(value, (bool, np.bool_)) or not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def _norm_deviation(v) -> np.ndarray:
     """|norm - 1| of a vector, or of each row of an (n, d) array."""
     a = np.asarray(v)
@@ -117,8 +123,7 @@ def gram_factor(x, rank_tol: float = 1e-7) -> np.ndarray:
     y_i of Y is the vector attached to index i.  Raises on materially
     non-PSD input (an eigenvalue below -max(1e-6 * lambda_max, 1e-8)).
     """
-    if not (rank_tol > 0 and math.isfinite(rank_tol)):
-        raise ValueError("rank_tol must be positive and finite")
+    _check_tol("rank_tol", rank_tol)
     if np.iscomplexobj(x):
         raise ValueError("gram_factor expects a real matrix; take the real part first")
     eig = herm_eig(x)

@@ -43,12 +43,11 @@ is not a bound and may exceed theta by up to n p sum(w).
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
 from .graph import ExclusivityGraph, _is_int
-from .numerics import psd_part
+from .numerics import _check_tol, psd_part
 
 __all__ = [
     "ThetaSolution",
@@ -133,8 +132,7 @@ def lovasz_theta(
     Deterministic for fixed (graph, tol, max_iters); on non-convergence the
     best feasibility-projected iterate is returned with converged=False.
     """
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError("tol must be positive and finite")
+    _check_tol("tol", tol)
     if not _is_int(max_iters) or max_iters < 1:
         raise ValueError(f"max_iters must be an integer of at least 1, got {max_iters!r}")
 

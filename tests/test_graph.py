@@ -17,7 +17,7 @@ from loorkit import (
     parse_graph,
     serialize_graph,
 )
-from util import brute_force_independence, random_graph, random_unitary
+from util import brute_force_independence, gnp, random_graph, random_unitary
 
 PENTAGON_DOC = json.dumps(
     {"n": 5, "weights": [1, 1, 1, 1, 1], "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}
@@ -182,7 +182,7 @@ def test_orthogonality_graph_rejects_bad_vectors():
         orthogonality_graph(np.ones(3))
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("inf"), float("nan"), True])
 def test_orthogonality_graph_rejects_bad_tol(tol):
     with pytest.raises(ValueError, match="tol"):
         orthogonality_graph(kcbs().real_rep.vectors, tol=tol)
@@ -205,6 +205,9 @@ def test_independence_bbc_is_27():
 def test_independence_edgeless_takes_everything():
     g = ExclusivityGraph(n=3, weights=np.array([1.0, 2.0, 3.0]), edges=())
     assert independence_number(g) == (6.0, (0, 1, 2))
+    # the deepest recursion either search can reach
+    g = ExclusivityGraph(n=64, weights=np.ones(64), edges=())
+    assert independence_number(g) == (64.0, tuple(range(64)))
 
 
 def test_independence_capacity_error():
@@ -217,6 +220,10 @@ def test_independence_matches_brute_force_100_random():
     rng = np.random.default_rng(6)
     for _ in range(100):
         g = random_graph(rng, n_max=12)
+        assert independence_number(g) == brute_force_independence(g)
+    # sparse unit-weight graphs have many maximum sets, so the tie rule decides
+    for _ in range(50):
+        g = gnp(rng, int(rng.integers(6, 13)), 0.15)
         assert independence_number(g) == brute_force_independence(g)
 
 

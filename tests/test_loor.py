@@ -95,8 +95,8 @@ def test_verify_reports_failures_without_raising():
 @pytest.mark.parametrize(
     ("argument", "value"),
     [(name, value) for name in ("tol", "value_tol")
-     for value in (0.0, -1.0, float("inf"), float("nan"))]
-    + [("target", value) for value in (float("inf"), float("-inf"), float("nan"))],
+     for value in (0.0, -1.0, float("inf"), float("nan"), True)]
+    + [("target", value) for value in (float("inf"), float("-inf"), float("nan"), True)],
 )
 def test_verify_rep_rejects_bad_arguments(argument, value):
     inst = bbc21()

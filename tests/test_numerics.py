@@ -139,7 +139,7 @@ def test_gram_factor_rejects_indefinite():
         gram_factor(np.diag([1.0, -0.5]))
 
 
-@pytest.mark.parametrize("rank_tol", [0.0, -1.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("rank_tol", [0.0, -1.0, float("inf"), float("nan"), True])
 def test_gram_factor_rejects_bad_rank_tol(rank_tol):
     with pytest.raises(ValueError, match="rank_tol"):
         gram_factor(np.eye(2), rank_tol=rank_tol)

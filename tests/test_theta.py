@@ -278,7 +278,7 @@ def test_solves_are_deterministic():
 
 def test_rejects_bad_arguments():
     g = kcbs().graph
-    for tol in (0.0, float("inf"), float("nan")):
+    for tol in (0.0, float("inf"), float("nan"), True):
         with pytest.raises(ValueError, match="tol"):
             lovasz_theta(g, tol=tol)
     for max_iters in (0, 2.5, True):
