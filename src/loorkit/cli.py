@@ -1,7 +1,8 @@
 """Command-line frontend: one subcommand per pipeline stage.
 
 Exit codes: 0 success/verified, 1 verification failure (also an
-``extract`` whose own output fails ``verify``), 2 input error, 3 solver
+``extract`` whose solver optimum does not factor into a representation,
+or whose representation fails ``verify``), 2 input error, 3 solver
 non-convergence.  Output is JSON by default (floats serialized
 with shortest round-trip representation, so identical runs are
 byte-identical); ``--format text`` renders the reports of ``theta``,
@@ -62,14 +63,6 @@ def _render(payload: dict, args) -> str:
     return "\n".join(lines)
 
 
-def _load_graph(path: str) -> graph_mod.ExclusivityGraph:
-    return graph_mod.parse_graph(_read_text(path))
-
-
-def _load_rep(path: str) -> loor_mod.OrthRep:
-    return loor_mod.parse_rep(_read_text(path))
-
-
 def _report_unconverged(sol, args) -> None:
     """Name on stderr each stop criterion the capped solve missed, with its last value."""
     missed = "; ".join(f"{name} {value:.3e}" for name, value in sol.unmet(args.tol).items())
@@ -78,7 +71,7 @@ def _report_unconverged(sol, args) -> None:
 
 
 def _cmd_theta(args) -> int:
-    g = _load_graph(args.graph_path)
+    g = graph_mod.parse_graph(_read_text(args.graph_path))
     solve = theta_mod.lovasz_theta if args.field == "real" else theta_mod.lovasz_theta_complex
     sol = solve(g, tol=args.tol, max_iters=args.max_iters)
     _emit(_render({
@@ -97,19 +90,24 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
-    g = _load_graph(args.graph_path)
+    g = graph_mod.parse_graph(_read_text(args.graph_path))
     alpha, witness = graph_mod.independence_number(g)
     _emit(_render({"alpha": alpha, "witness": list(witness)}, args), args)
     return EXIT_OK
 
 
 def _cmd_extract(args) -> int:
-    g = _load_graph(args.graph_path)
+    g = graph_mod.parse_graph(_read_text(args.graph_path))
     sol = theta_mod.lovasz_theta(g, tol=args.tol, max_iters=args.max_iters)
     if not sol.converged:
         _report_unconverged(sol, args)
         return EXIT_NO_CONVERGENCE
-    rep = loor_mod.rep_from_gram(sol.X, g, rank_tol=args.rank_tol)
+    try:
+        rep = loor_mod.rep_from_gram(sol.X, g, rank_tol=args.rank_tol)
+    except ValueError as exc:
+        print(f"solver optimum at tol {args.tol!r} gives no representation: {exc}",
+              file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     report = loor_mod.verify_rep(rep, g, tol=args.tol)
     if not report.passed:
         print(f"extracted representation fails verification at tol {args.tol!r}: "
@@ -121,7 +119,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_realify(args) -> int:
-    rep = _load_rep(args.rep_path)
+    rep = loor_mod.parse_rep(_read_text(args.rep_path))
     n = rep.n
     g = graph_mod.ExclusivityGraph(n=n, weights=np.ones(n), edges=())
     convert = (realify_mod.projector_realify if args.method == "projector"
@@ -131,8 +129,8 @@ def _cmd_realify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rep = _load_rep(args.rep_path)
-    g = _load_graph(args.graph)
+    rep = loor_mod.parse_rep(_read_text(args.rep_path))
+    g = graph_mod.parse_graph(_read_text(args.graph))
     report = loor_mod.verify_rep(
         rep, g, tol=args.tol, target=args.target, value_tol=args.value_tol,
         with_sic=args.sic,
@@ -154,7 +152,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_orthograph(args) -> int:
-    rep = _load_rep(args.rep_path)
+    rep = loor_mod.parse_rep(_read_text(args.rep_path))
     if args.weights is not None:
         try:
             weights = [float(x) for x in args.weights.split(",")]

@@ -50,9 +50,9 @@ class ExclusivityGraph:
     """Vertex-weighted undirected graph; one vertex per measurement event.
 
     Edges join mutually exclusive events.  The constructor validates input
-    from any source (n a positive int, weights positive and finite, edges
-    in-range int pairs without self-loops) and stores edges canonically as
-    sorted (i, j) pairs with i < j.
+    from any source (n a positive int, weights positive and finite with a
+    finite sum, edges in-range int pairs without self-loops) and stores
+    edges canonically as sorted (i, j) pairs with i < j.
     """
 
     n: int
@@ -78,6 +78,10 @@ class ExclusivityGraph:
         if bad.size:
             k = int(bad[0])
             raise ValueError(f"weights[{k}] must be positive and finite, got {float(w[k])!r}")
+        try:  # theta and alpha both take math.fsum of the weights
+            math.fsum(w)
+        except OverflowError:
+            raise ValueError(f"'weights' must sum to at most {sys.float_info.max!r}") from None
         canonical = set()
         for k, pair in enumerate(self.edges):
             if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2

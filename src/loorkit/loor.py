@@ -96,12 +96,6 @@ class OrthRep:
     def n(self) -> int:
         return self.vectors.shape[0]
 
-    def as_complex(self) -> "OrthRep":
-        if self.field == "complex":
-            return self
-        return OrthRep("complex", self.dim, self.handle.astype(complex),
-                       self.vectors.astype(complex))
-
 
 @dataclass
 class VerificationReport:

@@ -21,7 +21,6 @@ __all__ = [
     "herm_eig",
     "psd_project",
     "gram_factor",
-    "basis_to_e1",
 ]
 
 # relative tolerance for accepting input as symmetric / Hermitian
@@ -135,42 +134,3 @@ def gram_factor(x, rank_tol: float = 1e-7) -> np.ndarray:
     keep = eig.values > rank_tol * lam_max
     lam = np.clip(eig.values[keep], 0.0, None)
     return (np.sqrt(lam)[:, None] * eig.vectors[:, keep].T)
-
-
-def basis_to_e1(psi) -> np.ndarray:
-    """Unitary (orthogonal, for real input) U with U @ psi = e1.
-
-    Built from a Householder reflection whose mirror vector adds
-    ``phase(psi[0]) * e1`` (the cancellation-free choice, + on a zero
-    first component), followed by a deterministic row rescaling so the
-    image lands on +e1 with any phase absorbed.  psi must be unit within
-    ``UNIT_TOL``.  Returns the identity when psi is already e1 to within
-    1e-12.
-    """
-    v = np.asarray(psi)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"psi must be a nonempty vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("psi contains non-finite entries")
-    if _norm_deviation(v) > UNIT_TOL:
-        raise ValueError(f"psi must be a unit vector, got norm {float(np.linalg.norm(v))!r}")
-
-    is_complex = np.iscomplexobj(v)
-    dtype = complex if is_complex else float
-    d = v.size
-    e1 = np.zeros(d, dtype=dtype)
-    e1[0] = 1.0
-    if np.linalg.norm(v - e1) <= 1e-12:
-        return np.eye(d, dtype=dtype)
-
-    first = complex(v[0])
-    if is_complex:
-        phase = first / abs(first) if abs(first) > 0.0 else 1.0 + 0.0j
-    else:
-        phase = -1.0 if first.real < 0.0 else 1.0
-
-    u = v.astype(dtype) + phase * e1
-    h = np.eye(d, dtype=dtype) - 2.0 * np.outer(u, u.conj()) / np.vdot(u, u).real
-    # Householder sends psi to -phase * e1; fix the first row to land on +e1.
-    h[0, :] *= -np.conj(phase)
-    return h

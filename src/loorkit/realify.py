@@ -13,9 +13,11 @@ phase-aligned vectors:
   operator construction, which compresses each embedded rank-2 projector
   Q_i = block_embed(v_i v_i^H) onto a rank-1 piece of the embedded state,
   because Q_i M(psi) = M(<v_i|psi> v_i).
-* ``vector_realify`` (dimension 2d - 1) is the same stack with the handle
-  first rotated onto e1, minus coordinate d: it holds the imaginary part
-  of every first component, which the rephasing makes zero.
+* ``vector_realify`` (dimension 2d - 1) is that stack minus one direction.
+  Every row, and the handle M(psi), is orthogonal to the unit vector
+  b = M(i psi), because <M(i psi)|M(x)> = Im <psi|x> and the rephasing
+  made every <psi|v_i> real.  A real reflection sends b to a coordinate
+  axis, which is then deleted.
 
 Both preserve the achieved value and all edge orthogonalities exactly (up
 to roundoff).
@@ -27,7 +29,7 @@ import numpy as np
 
 from .graph import ExclusivityGraph
 from .loor import OrthRep, _check_aligned
-from .numerics import _checked_hermitian, basis_to_e1
+from .numerics import _checked_hermitian
 
 __all__ = [
     "block_embed",
@@ -70,11 +72,10 @@ def phase_align(rep: OrthRep) -> OrthRep:
     every |<psi|v_i>|^2 and every pairwise |<v_i|v_j>| unchanged.  Vectors
     with vanishing overlap (below 1e-12) are left as they are.
     """
-    r = rep.as_complex()
-    amp = r.vectors @ r.handle.conj()
+    amp = rep.vectors @ rep.handle.conj()
     mag = np.abs(amp)
     phase = np.where(mag > 1e-12, np.conj(amp) / np.where(mag > 1e-12, mag, 1.0), 1.0)
-    return OrthRep("complex", r.dim, r.handle, phase[:, None] * r.vectors)
+    return OrthRep("complex", rep.dim, rep.handle, phase[:, None] * rep.vectors)
 
 
 def projector_realify(rep: OrthRep, g: ExclusivityGraph) -> OrthRep:
@@ -97,13 +98,18 @@ def projector_realify(rep: OrthRep, g: ExclusivityGraph) -> OrthRep:
 def vector_realify(rep: OrthRep, g: ExclusivityGraph) -> OrthRep:
     """Vector-side conversion of a complex representation to dimension 2d - 1.
 
-    Rotate the handle onto e1, take ``projector_realify``, then delete
-    coordinate d, the imaginary part of the first component: zero for the
-    handle e1, and zero for every vector because its handle overlap, its
-    first component, was made real.
+    Take ``projector_realify``: its handle M(psi) and every vector are
+    orthogonal to the unit vector b = M(i psi), since <M(i psi)|M(x)> =
+    Im <psi|x> vanishes for x = psi and for each phase-aligned v_i.  One
+    real Householder reflection sends b onto the axis e_d; its mirror
+    vector b + sign(b[d]) |b| e_d takes the sign of b[d] = Re psi[0], so it
+    never cancels.  Coordinate d then holds each row's component along b,
+    which is zero, and is deleted.
     """
-    r = rep.as_complex()
-    d = r.dim
-    u = basis_to_e1(r.handle)
-    out = projector_realify(OrthRep("complex", d, u @ r.handle, r.vectors @ u.T), g)
-    return OrthRep("real", 2 * d - 1, np.delete(out.handle, d), np.delete(out.vectors, d, axis=1))
+    out = projector_realify(rep, g)
+    d = rep.dim
+    u = realify_map_M(1j * rep.handle)
+    u[d] += np.copysign(np.linalg.norm(u), u[d])
+    h = np.eye(2 * d) - np.outer(u, u) * (2.0 / (u @ u))
+    return OrthRep("real", 2 * d - 1, np.delete(out.handle @ h, d),
+                   np.delete(out.vectors @ h, d, axis=1))

@@ -11,7 +11,7 @@ import pytest
 from loorkit import (
     OrthRep, bbc21, cli, parse_graph, parse_rep, serialize_graph, serialize_rep, verify_rep,
 )
-from util import gnp
+from util import gnp, random_unitary
 
 
 def run_cli(args, stdin_text=None, monkeypatch=None, capsys=None):
@@ -156,6 +156,19 @@ def test_extract_refuses_its_own_output_when_it_fails_verify(tmp_path, monkeypat
     assert "fails verification" in err and "edge residual" in err
 
 
+def test_extract_reports_an_unfactorable_optimum_as_a_failure(tmp_path, monkeypatch, capsys):
+    # the unit-weight 13-cycle converges at tol 1e-4 with an X whose most
+    # negative eigenvalue gram_factor refuses; that is not an input error
+    n = 13
+    path = tmp_path / "c13.json"
+    path.write_text(json.dumps({"n": n, "weights": [1.0] * n,
+                                "edges": [[i, i + 1] for i in range(n - 1)] + [[0, n - 1]]}))
+    code, out, err = run_cli(["extract", str(path), "--tol", "1e-4"],
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    assert "positive semidefinite" in err
+
+
 def test_extract_single_vertex(tmp_path, monkeypatch, capsys):
     path = tmp_path / "one.json"
     path.write_text('{"n": 1, "weights": [1], "edges": []}')
@@ -210,6 +223,23 @@ def test_integer_literal_beyond_double_range_exits_2(command, doc, field, monkey
                              capsys=capsys, monkeypatch=monkeypatch)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {field} ")
+
+
+def test_realify_vector_method_on_a_rotated_handle(tmp_path, bbc_file, monkeypatch, capsys):
+    # a fixed random unitary moves the handle off e1; the result must still
+    # be 2d - 1 = 5 dimensional and reach the quantum value 29
+    u = random_unitary(np.random.default_rng(9), 3)
+    rep = bbc21().complex_rep
+    rotated = OrthRep("complex", 3, u @ rep.handle, rep.vectors @ u.T)
+    code, out, err = run_cli(["realify", "--method", "vector"], stdin_text=serialize_rep(rotated),
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert parse_rep(out).dim == 5
+    path = tmp_path / "real5.json"
+    path.write_text(out)
+    code, _, _ = run_cli(["verify", str(path), "--graph", bbc_file, "--target", "29"],
+                         capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 0
 
 
 def test_realify_projector_method(monkeypatch, capsys):
@@ -355,6 +385,13 @@ def test_run_config_validates(capsys):
     assert exc.value.code == 2 and "--max-iters" in capsys.readouterr().err
     args = parser.parse_args(["theta", "-", "--tol", "1e-6", "--max-iters", "7"])
     assert (args.tol, args.max_iters) == (1e-6, 7)
+
+
+def test_weights_whose_sum_overflows_exit_2(monkeypatch, capsys):
+    doc = '{"n": 2, "weights": [1e308, 1e308], "edges": []}'
+    code, out, err = run_cli(["alpha"], stdin_text=doc, capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'weights' ") and "Traceback" not in err
 
 
 def test_missing_file_exits_2(monkeypatch, capsys):

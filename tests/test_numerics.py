@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from loorkit import basis_to_e1, bbc21, certify_operator, gram_factor, herm_eig, hermitize, psd_project
+from loorkit import bbc21, certify_operator, gram_factor, herm_eig, hermitize, psd_project
 
 
 def test_herm_eig_real_identity():
@@ -144,56 +142,3 @@ def test_gram_factor_rejects_bad_rank_tol(rank_tol):
     with pytest.raises(ValueError, match="rank_tol"):
         gram_factor(np.eye(2), rank_tol=rank_tol)
 
-
-def test_basis_to_e1_identity_shortcut():
-    psi = np.array([1.0, 0.0, 0.0])
-    assert_allclose(basis_to_e1(psi), np.eye(3), atol=0)
-
-
-def test_basis_to_e1_permutation_like():
-    u = basis_to_e1(np.array([0.0, 1.0, 0.0]))
-    assert_allclose(u @ [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], atol=1e-14)
-    assert_allclose(u.T @ u, np.eye(3), atol=1e-14)
-
-
-def test_basis_to_e1_absorbs_phase():
-    psi = np.array([1.0 + 1.0j, 0.0]) / np.sqrt(2.0)
-    u = basis_to_e1(psi)
-    assert_allclose(u @ psi, [1.0, 0.0], atol=1e-12)
-    assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8).filter(
-        lambda xs: sum(abs(x) for x in xs) > 1e-3
-    )
-)
-def test_basis_to_e1_is_orthogonal_and_maps_to_e1(entries):
-    v = np.asarray(entries)
-    v = v / np.linalg.norm(v)
-    u = basis_to_e1(v)
-    e1 = np.zeros(v.size)
-    e1[0] = 1.0
-    assert np.max(np.abs(u @ v - e1)) <= 1e-10
-    assert np.max(np.abs(u.T @ u - np.eye(v.size))) <= 1e-10
-
-
-def test_basis_to_e1_complex_random_unitary():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        d = int(rng.integers(1, 9))
-        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        psi = z / np.linalg.norm(z)
-        u = basis_to_e1(psi)
-        e1 = np.zeros(d)
-        e1[0] = 1.0
-        assert np.max(np.abs(u @ psi - e1)) <= 1e-10
-        assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-10
-
-
-def test_basis_to_e1_rejects_degenerate_input():
-    with pytest.raises(ValueError):
-        basis_to_e1(np.zeros(3))
-    with pytest.raises(ValueError):
-        basis_to_e1(np.array([2.0, 0.0]))

@@ -272,6 +272,10 @@ def test_procedures_agree_on_random_reps():
         assert abs(rep_value(proj, g) - value) <= 1e-9
         assert edge_residual(vec, g) <= 1e-10
         assert edge_residual(proj, g) <= 1e-10
+        # the 2d - 1 form is the 2d stack with one direction removed: no
+        # inner product and no handle overlap changes
+        assert np.max(np.abs(vec.vectors @ vec.vectors.T - proj.vectors @ proj.vectors.T)) <= 1e-12
+        assert np.max(np.abs(vec.vectors @ vec.handle - proj.vectors @ proj.handle)) <= 1e-12
 
 
 def test_vector_realify_accepts_a_handle_unit_within_unit_tol():
