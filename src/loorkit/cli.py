@@ -103,7 +103,7 @@ def _cmd_extract(args) -> int:
         _report_unconverged(sol, args)
         return EXIT_NO_CONVERGENCE
     try:
-        rep = loor_mod.rep_from_gram(sol.X, g, rank_tol=args.rank_tol)
+        rep = loor_mod.rep_from_gram(sol.X, g, rank_tol=args.rank_tol, psd_tol=args.tol)
     except ValueError as exc:
         print(f"solver optimum at tol {args.tol!r} gives no representation: {exc}",
               file=sys.stderr)

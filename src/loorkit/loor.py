@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .graph import ExclusivityGraph, _is_int, _is_number, _load_document, max_edge_overlap
-from .numerics import UNIT_TOL, _check_tol, _norm_deviation, gram_factor, herm_eig, hermitize
+from .numerics import PSD_TOL, UNIT_TOL, _check_tol, _norm_deviation, gram_factor, herm_eig, hermitize
 
 __all__ = [
     "OrthRep",
@@ -235,7 +235,9 @@ def gram_from_rep(rep: OrthRep, g: ExclusivityGraph) -> np.ndarray:
     return hermitize(x)
 
 
-def rep_from_gram(x, g: ExclusivityGraph, rank_tol: float = 1e-7) -> OrthRep:
+def rep_from_gram(
+    x, g: ExclusivityGraph, rank_tol: float = 1e-7, psd_tol: float = PSD_TOL
+) -> OrthRep:
     """Extract a real representation from a feasible optimum of the SDP.
 
     Gram-factors X, normalizes the factor columns into vertex vectors, and
@@ -246,6 +248,8 @@ def rep_from_gram(x, g: ExclusivityGraph, rank_tol: float = 1e-7) -> OrthRep:
 
     A complex (Hermitian) X is replaced by its real part: Re X has the same
     trace, zero edges and value, and is PSD, so it is a real optimum.
+    ``psd_tol`` is ``gram_factor``'s refusal floor: pass the tolerance X was
+    solved at, so that X's own PSD residual is accepted.
     """
     a = np.asarray(np.real(x), dtype=float)
     if a.shape != (g.n, g.n):
@@ -258,7 +262,7 @@ def rep_from_gram(x, g: ExclusivityGraph, rank_tol: float = 1e-7) -> OrthRep:
             f"matrix is not feasible: trace deviation {tr_dev:.3e}, "
             f"edge deviation {edge_dev:.3e}"
         )
-    y = gram_factor(a, rank_tol)
+    y = gram_factor(a, rank_tol, psd_tol)
     r = y.shape[0]
     if r == 0:
         raise ValueError("matrix has numerical rank 0")

@@ -27,6 +27,9 @@ __all__ = [
 SYMMETRY_TOL = 1e-8
 # absolute tolerance for accepting a vector as unit norm
 UNIT_TOL = 1e-8
+# default floor, relative to max(1, lambda_max), below which gram_factor
+# calls a matrix not positive semidefinite
+PSD_TOL = 1e-6
 
 
 @dataclass
@@ -115,19 +118,23 @@ def psd_project(m) -> np.ndarray:
     return psd_part(_checked_hermitian(m))
 
 
-def gram_factor(x, rank_tol: float = 1e-7) -> np.ndarray:
+def gram_factor(x, rank_tol: float = 1e-7, psd_tol: float = PSD_TOL) -> np.ndarray:
     """Factor a PSD matrix X into Y with Y^T Y = X, Y of shape (r, n).
 
     r is the number of eigenvalues above ``rank_tol * lambda_max``; column
     y_i of Y is the vector attached to index i.  Raises on materially
-    non-PSD input (an eigenvalue below -max(1e-6 * lambda_max, 1e-8)).
+    non-PSD input: an eigenvalue below -psd_tol * max(1, lambda_max), widened
+    by n eps lambda_max of roundoff.  A solver optimum of unit trace that
+    is PSD up to a residual p <= tol passes with ``psd_tol=tol``.
     """
     _check_tol("rank_tol", rank_tol)
+    _check_tol("psd_tol", psd_tol)
     if np.iscomplexobj(x):
         raise ValueError("gram_factor expects a real matrix; take the real part first")
     eig = herm_eig(x)
     lam_max = max(float(eig.values[-1]), 0.0)
-    if float(eig.values[0]) < -max(1e-6 * lam_max, 1e-8):
+    roundoff = eig.values.size * np.finfo(float).eps * lam_max
+    if float(eig.values[0]) < -psd_tol * max(1.0, lam_max) - roundoff:
         raise ValueError(
             f"matrix is not positive semidefinite: min eigenvalue {eig.values[0]:.3e}"
         )

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -9,9 +10,12 @@ import numpy as np
 import pytest
 
 from loorkit import (
-    OrthRep, bbc21, cli, parse_graph, parse_rep, serialize_graph, serialize_rep, verify_rep,
+    ExclusivityGraph, OrthRep, bbc21, cli, loor, parse_graph, parse_rep, serialize_graph,
+    serialize_rep, verify_rep,
 )
 from util import gnp, random_unitary
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args, stdin_text=None, monkeypatch=None, capsys=None):
@@ -157,8 +161,11 @@ def test_extract_refuses_its_own_output_when_it_fails_verify(tmp_path, monkeypat
 
 
 def test_extract_reports_an_unfactorable_optimum_as_a_failure(tmp_path, monkeypatch, capsys):
-    # the unit-weight 13-cycle converges at tol 1e-4 with an X whose most
-    # negative eigenvalue gram_factor refuses; that is not an input error
+    # an optimum that gram_factor refuses is a failure, not an input error
+    def refuse(*args, **kwargs):
+        raise ValueError("matrix is not positive semidefinite: min eigenvalue -2.190e-06")
+
+    monkeypatch.setattr(loor, "rep_from_gram", refuse)
     n = 13
     path = tmp_path / "c13.json"
     path.write_text(json.dumps({"n": n, "weights": [1.0] * n,
@@ -167,6 +174,43 @@ def test_extract_reports_an_unfactorable_optimum_as_a_failure(tmp_path, monkeypa
                              capsys=capsys, monkeypatch=monkeypatch)
     assert (code, out) == (1, "")
     assert "positive semidefinite" in err
+
+
+def _load_bench_corpus():
+    spec = importlib.util.spec_from_file_location("bench_corpus", ROOT / "bench" / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def _graphs_gram_factor_refused_at_loose_tol():
+    """The unit-weight 13-cycle, four graphs of the benchmark's sdp corpus
+    (seed 1) and G(40, .3), whose optima gram_factor refused at tol 1e-4
+    while it ignored the PSD residual the solve had accepted."""
+    n = 13
+    graphs = [("C13", ExclusivityGraph(n=n, weights=np.ones(n),
+                                       edges=tuple((i, (i + 1) % n) for i in range(n))))]
+    names = ("gnp0-n11", "gnp2-n20-w", "gnp3-n23", "C25")
+    graphs += [(c.name, c.graph) for c in _load_bench_corpus().sdp_cases(1) if c.name in names]
+    return graphs + [("G40", gnp(np.random.default_rng(0), 40, 0.3))]
+
+
+LOOSE_TOL_CASES = _graphs_gram_factor_refused_at_loose_tol()
+
+
+@pytest.mark.parametrize("name, g", LOOSE_TOL_CASES, ids=[name for name, _ in LOOSE_TOL_CASES])
+def test_extract_accepts_the_psd_residual_of_its_own_solve(name, g, tmp_path, monkeypatch, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(serialize_graph(g))
+    code, out, err = run_cli(["extract", str(path), "--tol", "1e-4"],
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert "positive semidefinite" not in err
+    if code == 0:
+        assert verify_rep(parse_rep(out), g, tol=1e-4).passed
+    else:
+        assert (code, out) == (1, "")
+        assert "fails verification" in err and "edge residual" in err
 
 
 def test_extract_single_vertex(tmp_path, monkeypatch, capsys):

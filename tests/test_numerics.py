@@ -142,3 +142,20 @@ def test_gram_factor_rejects_bad_rank_tol(rank_tol):
     with pytest.raises(ValueError, match="rank_tol"):
         gram_factor(np.eye(2), rank_tol=rank_tol)
 
+
+
+def test_gram_factor_refusal_floor_is_psd_tol():
+    # unit trace, most negative eigenvalue -2e-6: below the default floor,
+    # above the floor of a solve at tol 1e-4
+    x = np.diag([0.5, 0.5 + 2e-6, -2e-6])
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        gram_factor(x)
+    y = gram_factor(x, psd_tol=1e-4)
+    assert y.shape == (2, 3)
+    assert_allclose(y.T @ y, np.diag([0.5, 0.5 + 2e-6, 0.0]), atol=1e-15)
+
+
+@pytest.mark.parametrize("psd_tol", [0.0, -1.0, float("inf"), float("nan"), True])
+def test_gram_factor_rejects_bad_psd_tol(psd_tol):
+    with pytest.raises(ValueError, match="psd_tol"):
+        gram_factor(np.eye(2), psd_tol=psd_tol)
