@@ -202,13 +202,23 @@ def independence_number(g: ExclusivityGraph) -> tuple[float, tuple[int, ...]]:
     """Exact maximum-weight independent set: (alpha, witness).
 
     Two branch-and-bound searches share bitset adjacency and a greedy
-    weighted clique cover as the pruning bound.  The first finds alpha,
-    branching on vertices in descending-weight order.  The second finds the
-    witness: it branches on the lowest-index vertex left and tries including
-    it before excluding it, so it reaches independent sets in lexicographic
-    order, and the first one within 1e-9 (relative) of alpha is the
-    lexicographically smallest maximum set.  Its weight is returned as a
-    correctly rounded sum (math.fsum).
+    weighted clique cover as the pruning bound.  The bitsets label the
+    vertices heaviest first (ties by index), so the lowest set bit of a
+    mask is its heaviest vertex.  The cover takes one clique at a time: it
+    takes the lowest bit, counts its weight for the whole clique, and peels
+    common neighbours (lowest first) until none are left; an independent
+    set takes at most one vertex per clique.
+
+    The first search finds alpha.  Before bounding, it takes every forced
+    vertex: one with no neighbour left, or with exactly one neighbour no
+    heavier than itself (some maximum set contains it, since that set can
+    trade the neighbour for it).  It then branches on the heaviest vertex
+    left.  The second search finds the witness and takes no forced
+    vertices: it walks the original vertex indices in ascending order and
+    tries including each one left before excluding it, so it reaches
+    independent sets in lexicographic order, and the first one within 1e-9
+    (relative) of alpha is the lexicographically smallest maximum set.  Its
+    weight is returned as a correctly rounded sum (math.fsum).
     """
     n = g.n
     if n > MAX_EXACT_VERTICES:
@@ -217,55 +227,72 @@ def independence_number(g: ExclusivityGraph) -> tuple[float, tuple[int, ...]]:
             "this tool targets desk-scale instances"
         )
     w = [float(x) for x in g.weights]
-    adj = g.adjacency_bitsets()
-    closed = [adj[v] | (1 << v) for v in range(n)]
-    order = sorted(range(n), key=lambda v: (-w[v], v))
+    order = sorted(range(n), key=lambda v: (-w[v], v))  # vertex at each label
+    label = [0] * n
+    for b, v in enumerate(order):
+        label[v] = b
+    wt = [w[v] for v in order]
+    adj = [0] * n
+    for i, j in g.edges:
+        adj[label[i]] |= 1 << label[j]
+        adj[label[j]] |= 1 << label[i]
+    closed = [adj[b] | (1 << b) for b in range(n)]
 
     def cover_bound(mask: int) -> float:
-        # Greedy clique cover; an independent set takes at most one vertex
-        # per clique, so the heaviest member of each clique bounds its share.
         ub = 0.0
-        commons: list[int] = []
-        for v in order:
-            if not (mask >> v) & 1:
-                continue
-            for k in range(len(commons)):
-                if (commons[k] >> v) & 1:
-                    commons[k] &= adj[v]
-                    break
-            else:
-                commons.append(adj[v])
-                ub += w[v]
+        while mask:
+            low = mask & -mask
+            u = low.bit_length() - 1
+            ub += wt[u]
+            mask ^= low
+            common = mask & adj[u]
+            while common:
+                low = common & -common
+                mask ^= low
+                common &= adj[low.bit_length() - 1]
         return ub
 
     alpha = 0.0
 
     def dfs(mask: int, acc: float) -> None:
         nonlocal alpha
+        rest = mask  # take forced vertices; a take rechecks the vertices it touched
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            nb = adj[v] & mask
+            if not nb:
+                mask ^= low
+                acc += wt[v]
+            elif not nb & (nb - 1) and wt[nb.bit_length() - 1] <= wt[v]:
+                mask &= ~(low | nb)
+                acc += wt[v]
+                rest = (rest | adj[nb.bit_length() - 1]) & mask
         if acc > alpha:
             alpha = acc
         if not mask:
             return
         if acc + cover_bound(mask) <= alpha:
             return
-        for v in order:
-            if (mask >> v) & 1:
-                break
-        dfs(mask & ~closed[v], acc + w[v])
+        v = (mask & -mask).bit_length() - 1  # heaviest vertex left
+        dfs(mask & ~closed[v], acc + wt[v])
         dfs(mask & ~(1 << v), acc)
 
     full = (1 << n) - 1
     dfs(full, 0.0)
     floor = alpha - 1e-9 * max(1.0, abs(alpha))
 
-    def first_set(mask: int, chosen: tuple[int, ...], acc: float) -> tuple[int, ...] | None:
+    def first_set(mask: int, k: int, chosen: tuple[int, ...], acc: float) -> tuple[int, ...] | None:
         if acc + cover_bound(mask) < floor:
             return None
         if not mask:
             return chosen
-        v = (mask & -mask).bit_length() - 1  # lowest index left
-        found = first_set(mask & ~closed[v], chosen + (v,), acc + w[v])
-        return found if found is not None else first_set(mask & ~(1 << v), chosen, acc)
+        while not (mask >> label[k]) & 1:  # lowest original index left
+            k += 1
+        b = label[k]
+        found = first_set(mask & ~closed[b], k + 1, chosen + (k,), acc + w[k])
+        return found if found is not None else first_set(mask & ~(1 << b), k + 1, chosen, acc)
 
-    witness = first_set(full, (), 0.0)
+    witness = first_set(full, 0, (), 0.0)
     return float(math.fsum(w[v] for v in witness)), witness

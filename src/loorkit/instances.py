@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import ExclusivityGraph, orthogonality_graph
-from .loor import OrthRep, verify_rep
+from .loor import OrthRep
 
-__all__ = ["NamedInstance", "all_instances", "kcbs", "bbc21", "self_test"]
+__all__ = ["NamedInstance", "all_instances", "kcbs", "bbc21"]
 
 
 @dataclass(frozen=True)
@@ -143,22 +143,3 @@ def bbc21() -> NamedInstance:
 def all_instances() -> tuple[NamedInstance, ...]:
     return (kcbs(), bbc21())
 
-
-def self_test() -> None:
-    """Re-check every stored representation against its graph and value.
-
-    Raises ValueError on the first inconsistency; intended as a cheap
-    startup sanity gate for the built-in data.
-    """
-    for inst in all_instances():
-        for rep in (inst.complex_rep, inst.real_rep):
-            if rep is None:
-                continue
-            report = verify_rep(rep, inst.graph, tol=1e-10,
-                                target=inst.theta_reference, value_tol=1e-10)
-            if not report.passed:
-                raise ValueError(
-                    f"instance {inst.name!r}: stored representation fails verification "
-                    f"(value {report.value!r} vs {inst.theta_reference!r}, norm "
-                    f"{report.max_norm_residual:.3e}, edge {report.max_edge_residual:.3e})"
-                )

@@ -19,7 +19,6 @@ __all__ = [
     "EigenDecomposition",
     "hermitize",
     "herm_eig",
-    "psd_project",
     "gram_factor",
 ]
 
@@ -38,10 +37,6 @@ class EigenDecomposition:
 
     values: np.ndarray
     vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.vectors
-        return (v * self.values) @ v.conj().T
 
 
 def hermitize(m) -> np.ndarray:
@@ -93,11 +88,12 @@ def herm_eig(m) -> EigenDecomposition:
 
 
 def psd_part(m: np.ndarray) -> np.ndarray:
-    """Positive part of a symmetric or Hermitian matrix, without input checks.
+    """Positive part of a symmetric or Hermitian matrix, without input checks:
+    the nearest positive-semidefinite matrix in Frobenius norm.
 
     Keeps the eigenpairs with positive eigenvalue and recomposes; eigh reads
     one triangle only.  The result is bitwise symmetric (Hermitian).  This is
-    the solver's inner kernel; ``psd_project`` is the checked entry point.
+    the solver's inner kernel.
     """
     values, vectors = np.linalg.eigh(m)
     pos = values > 0.0
@@ -106,16 +102,6 @@ def psd_part(m: np.ndarray) -> np.ndarray:
     vp = vectors[:, pos]
     p = (vp * values[pos]) @ vp.conj().T
     return (p + p.conj().T) / 2.0
-
-
-def psd_project(m) -> np.ndarray:
-    """Nearest positive-semidefinite matrix in Frobenius norm.
-
-    Accepts real symmetric or complex Hermitian input and keeps its field.
-    Clips negative eigenvalues to zero and recomposes; idempotent up to
-    roundoff.
-    """
-    return psd_part(_checked_hermitian(m))
 
 
 def gram_factor(x, rank_tol: float = 1e-7, psd_tol: float = PSD_TOL) -> np.ndarray:

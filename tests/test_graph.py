@@ -18,7 +18,14 @@ from loorkit import (
     parse_graph,
     serialize_graph,
 )
-from util import brute_force_independence, gnp, random_graph, random_unitary
+from util import (
+    brute_force_independence,
+    gnp,
+    random_forest,
+    random_graph,
+    random_unitary,
+    tree_independence,
+)
 
 PENTAGON_DOC = json.dumps(
     {"n": 5, "weights": [1, 1, 1, 1, 1], "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}
@@ -240,3 +247,78 @@ def test_independence_bounded_by_weight_sum(g):
     else:
         assert alpha == g.weight_sum
         assert witness == tuple(range(g.n))
+
+
+@pytest.mark.parametrize(
+    "weights, edges, expected",
+    [
+        # a leaf lighter than its neighbour is not forced; the tie goes to the centre
+        ([2, 1, 1], [(0, 1), (0, 2)], (2.0, (0,))),
+        # a leaf heavier than its neighbour is in every maximum set
+        ([1, 3, 1, 2], [(0, 1), (1, 2), (2, 3)], (5.0, (1, 3))),
+        # leaves 1 and 3 equal their neighbours, so the alpha search takes
+        # 1 and then 2 (the leaf left once 0 is gone); the smallest maximum
+        # set holds neither
+        ([1, 1, 1, 1], [(0, 1), (0, 2), (2, 3)], (2.0, (0, 3))),
+        # forced vertices alone take an equal-weight path
+        ([1, 1], [(0, 1)], (1.0, (0,))),
+        ([5, 5, 5, 5, 5], [(0, 4), (4, 1), (1, 3), (3, 2)], (15.0, (0, 1, 2))),
+        # an isolated vertex is taken by both searches
+        ([1, 2, 2], [(1, 2)], (3.0, (0, 1))),
+    ],
+    ids=["lighter-leaf", "heavier-leaf", "forced-not-in-witness", "equal-edge",
+         "equal-path", "isolated"],
+)
+def test_independence_forced_vertex_ties(weights, edges, expected):
+    g = ExclusivityGraph(n=len(weights), weights=np.asarray(weights, float), edges=tuple(edges))
+    assert brute_force_independence(g) == expected
+    assert independence_number(g) == expected
+
+
+def _star(rng, n):
+    centre = int(rng.integers(n))
+    return [(centre, v) for v in range(n) if v != centre]
+
+
+def _path(rng, n):
+    order = rng.permutation(n).tolist()
+    return list(zip(order, order[1:]))
+
+
+def _caterpillar(rng, n):
+    order = rng.permutation(n).tolist()
+    spine = order[: int(rng.integers(1, n + 1))]
+    legs = [(v, spine[int(rng.integers(len(spine)))]) for v in order[len(spine):]]
+    return list(zip(spine, spine[1:])) + legs
+
+
+@pytest.mark.parametrize("shape", [_star, _path, _caterpillar], ids=["star", "path", "caterpillar"])
+def test_independence_ties_on_stars_paths_and_caterpillars(shape):
+    # weights 1 to 3 make degree-1 vertices lighter than, equal to and
+    # heavier than their neighbours, and many maximum sets tie
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(2, 15))
+        g = ExclusivityGraph(n=n, weights=rng.integers(1, 4, n).astype(float),
+                             edges=tuple(shape(rng, n)))
+        assert independence_number(g) == brute_force_independence(g)
+
+
+def test_tree_dp_matches_brute_force():
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        n = int(rng.integers(1, 13))
+        g = random_forest(rng, n, 0.2, rng.integers(1, 4, n).astype(float))
+        assert tree_independence(g) == brute_force_independence(g)
+
+
+@pytest.mark.parametrize("integer_weights", [False, True], ids=["unit", "integer"])
+def test_independence_matches_tree_dp_on_large_forests(integer_weights):
+    # 40 to 64 vertices, beyond brute force; forests are where the
+    # forced-vertex rules of the alpha search do most of the work
+    rng = np.random.default_rng(13 + integer_weights)
+    for _ in range(25):
+        n = int(rng.integers(40, 65))
+        w = rng.integers(1, 9, n).astype(float) if integer_weights else np.ones(n)
+        g = random_forest(rng, n, 0.1, w)
+        assert independence_number(g) == tree_independence(g)

@@ -2,19 +2,25 @@ import numpy as np
 import pytest
 
 from loorkit import (
+    all_instances,
     bbc21,
     certify_operator,
     independence_number,
     kcbs,
     rep_value,
-    self_test,
     vector_realify,
     verify_rep,
 )
 
 
-def test_self_test_passes():
-    self_test()
+def test_every_stored_rep_verifies():
+    for inst in all_instances():
+        for rep in (inst.complex_rep, inst.real_rep):
+            if rep is None:
+                continue
+            report = verify_rep(rep, inst.graph, tol=1e-10,
+                                target=inst.theta_reference, value_tol=1e-10)
+            assert report.passed, (inst.name, rep.field)
 
 
 def test_kcbs_structure():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -80,6 +81,79 @@ def brute_force_independence(g: ExclusivityGraph) -> tuple[float, tuple[int, ...
         elif total == best:
             best_sets.append(tuple(members))
     return best, min(best_sets)
+
+
+def random_forest(rng, n: int, p_root: float, weights) -> ExclusivityGraph:
+    """Random forest: each vertex after the first joins a random earlier one
+    unless it starts a new tree (probability ``p_root``); labels are then
+    shuffled so that index order is not tree order."""
+    perm = rng.permutation(n)
+    edges = tuple(
+        (int(perm[k]), int(perm[rng.integers(k)]))
+        for k in range(1, n) if rng.random() >= p_root
+    )
+    return ExclusivityGraph(n=n, weights=weights, edges=edges)
+
+
+def tree_independence(g: ExclusivityGraph) -> tuple[float, tuple[int, ...]]:
+    """Maximum-weight independent set of a forest by dynamic programming:
+    (value, lex-min witness).
+
+    Weights are summed exactly (Fraction).  The witness is fixed by a commit
+    loop over indices: vertex k joins it when it has no chosen neighbour and
+    the optimum with it forced in, given every earlier decision, is still
+    the optimum; otherwise k is forced out.
+    """
+    n = g.n
+    w = [Fraction(float(x)) for x in g.weights]
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for i, j in g.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    parent = [-1] * n
+    post: list[int] = []  # preorder, reversed below: children before parents
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            post.append(v)
+            for u in nbrs[v]:
+                if seen[u]:
+                    assert u == parent[v], "graph is not a forest"
+                else:
+                    seen[u] = True
+                    parent[u] = v
+                    stack.append(u)
+    post.reverse()
+
+    def best(state: list[bool | None]) -> Fraction | float:
+        """Optimum with state[v] True (in), False (out) or None (free);
+        -inf when the states conflict."""
+        take = [-math.inf] * n  # best of v's subtree with v in
+        skip = [-math.inf] * n  # best of v's subtree with v out
+        total = Fraction(0)
+        for v in post:
+            kids = [u for u in nbrs[v] if u != parent[v]]
+            if state[v] is not False:
+                take[v] = w[v] + sum(skip[u] for u in kids)
+            if state[v] is not True:
+                skip[v] = sum(max(take[u], skip[u]) for u in kids)
+            if parent[v] < 0:
+                total += max(take[v], skip[v])
+        return total
+
+    state: list[bool | None] = [None] * n
+    alpha = best(state)
+    for k in range(n):
+        state[k] = not any(state[u] for u in nbrs[k])
+        if state[k] and best(state) != alpha:
+            state[k] = False
+    witness = tuple(v for v in range(n) if state[v])
+    return math.fsum(float(w[v]) for v in witness), witness
 
 
 def edge_residual(rep: OrthRep, g: ExclusivityGraph) -> float:
