@@ -72,8 +72,8 @@ def _report_unconverged(sol, args) -> None:
 
 def _cmd_theta(args) -> int:
     g = graph_mod.parse_graph(_read_text(args.graph_path))
-    solve = theta_mod.lovasz_theta if args.field == "real" else theta_mod.lovasz_theta_complex
-    sol = solve(g, tol=args.tol, max_iters=args.max_iters)
+    # the real solve answers the Hermitian program too, so --field prints the same report
+    sol = theta_mod.lovasz_theta(g, tol=args.tol, max_iters=args.max_iters)
     _emit(_render({
         "value": sol.value,
         "lower": sol.lower,
@@ -103,7 +103,7 @@ def _cmd_extract(args) -> int:
         _report_unconverged(sol, args)
         return EXIT_NO_CONVERGENCE
     try:
-        rep = loor_mod.rep_from_gram(sol.X, g, rank_tol=args.rank_tol, psd_tol=args.tol)
+        rep = loor_mod.rep_from_gram(sol.X, g, psd_tol=args.tol)
     except ValueError as exc:
         print(f"solver optimum at tol {args.tol!r} gives no representation: {exc}",
               file=sys.stderr)
@@ -142,8 +142,8 @@ def _cmd_verify(args) -> int:
         "max_edge_residual": report.max_edge_residual,
         "per_vertex_overlap": [float(x) for x in report.per_vertex_overlap],
     }
-    if report.target is not None:
-        payload["target"] = report.target
+    if args.target is not None:
+        payload["target"] = args.target
     if args.sic:
         payload["sic"] = report.sic
         payload["sic_spectrum"] = [float(x) for x in report.sic_spectrum]
@@ -227,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="solve, then extract a representation")
     p.add_argument("graph_path", nargs="?", default="-")
     _add_solver_opts(p)
-    p.add_argument("--rank-tol", type=_positive, default=1e-7, dest="rank_tol")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("realify", help="convert a complex representation to a real one")
@@ -238,16 +237,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a representation against a graph")
     p.add_argument("rep_path", nargs="?", default="-")
     p.add_argument("--graph", required=True, help="graph file the representation claims")
-    p.add_argument("--tol", type=_positive, default=1e-8)
+    p.add_argument("--tol", type=_positive, default=loor_mod.VERIFY_TOL)
     p.add_argument("--target", type=_finite, default=None)
-    p.add_argument("--value-tol", type=_positive, default=1e-6, dest="value_tol")
+    p.add_argument("--value-tol", type=_positive, default=loor_mod.VALUE_TOL, dest="value_tol")
     p.add_argument("--sic", action="store_true", help="report the operator spectrum")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("orthograph", help="derive the exclusivity graph of a vector file")
     p.add_argument("rep_path", nargs="?", default="-")
     p.add_argument("--weights", default=None, help="comma-separated vertex weights")
-    p.add_argument("--ortho-tol", type=_positive, default=1e-9, dest="ortho_tol")
+    p.add_argument("--ortho-tol", type=_positive, default=graph_mod.ORTHO_TOL, dest="ortho_tol")
     p.set_defaults(func=_cmd_orthograph)
 
     p = sub.add_parser("instance", help="emit a built-in instance document")

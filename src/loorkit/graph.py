@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 MAX_EXACT_VERTICES = 64
+ORTHO_TOL = 1e-9  # orthogonality_graph's default edge threshold on |<v_i|v_j>|
 
 
 class GraphFormatError(ValueError):
@@ -164,7 +165,7 @@ def serialize_graph(g: ExclusivityGraph, indent: int | None = None) -> str:
     return json.dumps(doc, indent=indent)
 
 
-def orthogonality_graph(vectors, weights=None, tol: float = 1e-9) -> ExclusivityGraph:
+def orthogonality_graph(vectors, weights=None, tol: float = ORTHO_TOL) -> ExclusivityGraph:
     """Graph with an edge (i, j) exactly when |<v_i|v_j>| <= tol.
 
     ``vectors`` is an (n, d) array (real or complex) of rows that are unit

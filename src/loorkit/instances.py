@@ -127,7 +127,7 @@ def bbc21() -> NamedInstance:
     """21-ray instance: weights 3 and 5, graph derived from the rays."""
     rays = _bbc21_rays()
     weights = np.concatenate([np.full(9, 3.0), np.full(12, 5.0)])
-    graph = orthogonality_graph(rays, weights, tol=1e-9)
+    graph = orthogonality_graph(rays, weights)
     handle_c = np.array([1, 0, 0], dtype=complex)
     handle_r = np.array([1, 0, 0, 0, 0], dtype=float)
     return NamedInstance(

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import ExclusivityGraph, _is_int, _is_number, _load_document, max_edge_overlap
-from .numerics import PSD_TOL, UNIT_TOL, _check_tol, _norm_deviation, gram_factor, herm_eig, hermitize
+from .numerics import PSD_TOL, UNIT_TOL, _check_tol, _norm_deviation, gram_factor, hermitize
 
 __all__ = [
     "OrthRep",
@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 SIC_TOL = 1e-8
+VERIFY_TOL = 1e-8  # verify_rep's default residual tolerance
+VALUE_TOL = 1e-6  # verify_rep's default tolerance on |value - target|
 
 
 class RepFormatError(ValueError):
@@ -104,8 +106,7 @@ class VerificationReport:
     max_edge_residual: float
     per_vertex_overlap: np.ndarray
     passed: bool
-    target: float | None = None
-    sic_spectrum: np.ndarray | None = dataclass_field(default=None)
+    sic_spectrum: np.ndarray | None = None
     sic: bool | None = None
 
 
@@ -178,9 +179,9 @@ def rep_value(rep: OrthRep, g: ExclusivityGraph) -> float:
 def verify_rep(
     rep: OrthRep,
     g: ExclusivityGraph,
-    tol: float = 1e-8,
+    tol: float = VERIFY_TOL,
     target: float | None = None,
-    value_tol: float = 1e-6,
+    value_tol: float = VALUE_TOL,
     with_sic: bool = False,
 ) -> VerificationReport:
     """Residual report for a representation; failures are reported, not raised.
@@ -211,7 +212,6 @@ def verify_rep(
         max_edge_residual=max_edge,
         per_vertex_overlap=overlap,
         passed=passed,
-        target=target,
         sic_spectrum=spectrum,
         sic=sic,
     )
@@ -227,7 +227,7 @@ def gram_from_rep(rep: OrthRep, g: ExclusivityGraph) -> np.ndarray:
     """
     _check_aligned(rep, g)
     s = rep_value(rep, g)
-    if s <= 1e-12:
+    if s <= 1e-12 * float(np.max(g.weights)):
         raise ValueError(f"degenerate representation: achieved value {s!r}")
     amp = rep.vectors @ rep.handle.conj()  # <psi|v_i>
     scaled = (np.sqrt(g.weights) * np.conj(amp))[:, None] * rep.vectors
@@ -235,9 +235,7 @@ def gram_from_rep(rep: OrthRep, g: ExclusivityGraph) -> np.ndarray:
     return hermitize(x)
 
 
-def rep_from_gram(
-    x, g: ExclusivityGraph, rank_tol: float = 1e-7, psd_tol: float = PSD_TOL
-) -> OrthRep:
+def rep_from_gram(x, g: ExclusivityGraph, psd_tol: float = PSD_TOL) -> OrthRep:
     """Extract a real representation from a feasible optimum of the SDP.
 
     Gram-factors X, normalizes the factor columns into vertex vectors, and
@@ -262,14 +260,14 @@ def rep_from_gram(
             f"matrix is not feasible: trace deviation {tr_dev:.3e}, "
             f"edge deviation {edge_dev:.3e}"
         )
-    y = gram_factor(a, rank_tol, psd_tol)
+    y = gram_factor(a, psd_tol)
     r = y.shape[0]
     if r == 0:
         raise ValueError("matrix has numerical rank 0")
     norms = np.linalg.norm(y, axis=0)
     handle_raw = y @ np.sqrt(g.weights)
     handle_norm = float(np.linalg.norm(handle_raw))
-    if handle_norm <= 1e-10:
+    if handle_norm <= 1e-10 * math.sqrt(float(np.max(g.weights))):
         raise ValueError("no handle recoverable: sum of weighted factor columns vanishes")
 
     live = norms > 1e-6 * float(np.max(norms))
@@ -290,13 +288,14 @@ def certify_operator(
 
     Returns (operator, spectrum ascending, sic) with
     operator = sum_i w_i |v_i><v_i|; sic is True exactly when the operator
-    is the top eigenvalue times the identity (max-norm within 1e-8), in
-    which case the achieved value is the same for every unit handle.
+    is the top eigenvalue times the identity, within ``SIC_TOL * max(w)``
+    in max-norm (the operator scales with the weights), in which case the
+    achieved value is the same for every unit handle.
     """
     _check_aligned(rep, g)
     m = rep.vectors.T @ (g.weights[:, None] * rep.vectors.conj())
     operator = hermitize(m)
-    spectrum = herm_eig(operator).values
+    spectrum = np.linalg.eigh(operator)[0]
     lam_max = float(spectrum[-1])
     dev = float(np.max(np.abs(operator - lam_max * np.eye(rep.dim))))
-    return operator, spectrum, bool(dev <= SIC_TOL)
+    return operator, spectrum, bool(dev <= SIC_TOL * float(np.max(g.weights)))

@@ -11,14 +11,11 @@ input bits on a fixed build.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "EigenDecomposition",
     "hermitize",
-    "herm_eig",
     "gram_factor",
 ]
 
@@ -29,14 +26,8 @@ UNIT_TOL = 1e-8
 # default floor, relative to max(1, lambda_max), below which gram_factor
 # calls a matrix not positive semidefinite
 PSD_TOL = 1e-6
-
-
-@dataclass
-class EigenDecomposition:
-    """Full spectrum, values ascending; vectors[:, k] pairs with values[k]."""
-
-    values: np.ndarray
-    vectors: np.ndarray
+# gram_factor keeps the eigenvalues above RANK_TOL * lambda_max
+RANK_TOL = 1e-7
 
 
 def hermitize(m) -> np.ndarray:
@@ -78,15 +69,6 @@ def _norm_deviation(v) -> np.ndarray:
     return np.abs(norms - 1.0)
 
 
-def herm_eig(m) -> EigenDecomposition:
-    """Eigendecomposition of a real symmetric or complex Hermitian matrix.
-
-    Values are real and ascending; vectors are in the input's field.
-    """
-    values, vectors = np.linalg.eigh(_checked_hermitian(m))
-    return EigenDecomposition(values=values, vectors=vectors)
-
-
 def psd_part(m: np.ndarray) -> np.ndarray:
     """Positive part of a symmetric or Hermitian matrix, without input checks:
     the nearest positive-semidefinite matrix in Frobenius norm.
@@ -104,26 +86,24 @@ def psd_part(m: np.ndarray) -> np.ndarray:
     return (p + p.conj().T) / 2.0
 
 
-def gram_factor(x, rank_tol: float = 1e-7, psd_tol: float = PSD_TOL) -> np.ndarray:
+def gram_factor(x, psd_tol: float = PSD_TOL) -> np.ndarray:
     """Factor a PSD matrix X into Y with Y^T Y = X, Y of shape (r, n).
 
-    r is the number of eigenvalues above ``rank_tol * lambda_max``; column
+    r is the number of eigenvalues above ``RANK_TOL * lambda_max``; column
     y_i of Y is the vector attached to index i.  Raises on materially
     non-PSD input: an eigenvalue below -psd_tol * max(1, lambda_max), widened
     by n eps lambda_max of roundoff.  A solver optimum of unit trace that
     is PSD up to a residual p <= tol passes with ``psd_tol=tol``.
     """
-    _check_tol("rank_tol", rank_tol)
     _check_tol("psd_tol", psd_tol)
     if np.iscomplexobj(x):
         raise ValueError("gram_factor expects a real matrix; take the real part first")
-    eig = herm_eig(x)
-    lam_max = max(float(eig.values[-1]), 0.0)
-    roundoff = eig.values.size * np.finfo(float).eps * lam_max
-    if float(eig.values[0]) < -psd_tol * max(1.0, lam_max) - roundoff:
+    values, vectors = np.linalg.eigh(_checked_hermitian(x))
+    lam_max = max(float(values[-1]), 0.0)
+    roundoff = values.size * np.finfo(float).eps * lam_max
+    if float(values[0]) < -psd_tol * max(1.0, lam_max) - roundoff:
         raise ValueError(
-            f"matrix is not positive semidefinite: min eigenvalue {eig.values[0]:.3e}"
+            f"matrix is not positive semidefinite: min eigenvalue {values[0]:.3e}"
         )
-    keep = eig.values > rank_tol * lam_max
-    lam = np.clip(eig.values[keep], 0.0, None)
-    return (np.sqrt(lam)[:, None] * eig.vectors[:, keep].T)
+    keep = values > RANK_TOL * lam_max
+    return np.sqrt(values[keep])[:, None] * vectors[:, keep].T

@@ -1,7 +1,9 @@
+import argparse
 import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from loorkit import (
-    ExclusivityGraph, OrthRep, bbc21, cli, loor, parse_graph, parse_rep, serialize_graph,
+    ExclusivityGraph, OrthRep, bbc21, cli, kcbs, loor, parse_graph, parse_rep, serialize_graph,
     serialize_rep, verify_rep,
 )
 from util import gnp, random_unitary
@@ -146,6 +148,19 @@ def test_extract_emits_a_rep_that_verifies(name, tmp_path, monkeypatch, capsys):
     code, out, err = run_cli(["extract", str(path)], capsys=capsys, monkeypatch=monkeypatch)
     assert code == 0 and err == ""
     assert verify_rep(parse_rep(out), parse_graph(graph_doc), tol=1e-8).passed
+
+
+@pytest.mark.parametrize("factor", [1e-22, 1e22])
+def test_extract_is_scale_free(factor, tmp_path, monkeypatch, capsys):
+    # theta is 1-homogeneous in w, so tiny or huge weights are still valid input
+    pentagon = kcbs().graph
+    g = ExclusivityGraph(5, pentagon.weights * factor, pentagon.edges)
+    path = tmp_path / "g.json"
+    path.write_text(serialize_graph(g))
+    code, out, err = run_cli(["extract", str(path)], capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 0 and err == ""
+    report = verify_rep(parse_rep(out), g, tol=1e-8)
+    assert report.passed and report.value == pytest.approx(factor * np.sqrt(5.0), rel=1e-6)
 
 
 def test_extract_refuses_its_own_output_when_it_fails_verify(tmp_path, monkeypatch, capsys):
@@ -395,7 +410,7 @@ def test_bad_flags_exit_2(monkeypatch, capsys):
 
 def test_nonpositive_tolerances_exit_2(pentagon_file, monkeypatch, capsys):
     cases = [(command, flag, value)
-             for command, flag in (("theta", "--tol"), ("extract", "--rank-tol"),
+             for command, flag in (("theta", "--tol"), ("extract", "--tol"),
                                    ("verify", "--tol"), ("verify", "--value-tol"),
                                    ("orthograph", "--ortho-tol"))
              for value in ("-1", "0", "inf", "nan", "abc")]
@@ -422,7 +437,7 @@ def test_run_config_validates(capsys):
     # the run configuration is checked as the flags are parsed, before any command runs
     parser = cli.build_parser()
     with pytest.raises(SystemExit) as exc:
-        parser.parse_args(["extract", "-", "--rank-tol", "0"])
+        parser.parse_args(["extract", "-", "--tol", "0"])
     assert exc.value.code == 2 and "positive" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         parser.parse_args(["theta", "-", "--max-iters", "0"])
@@ -487,3 +502,13 @@ def test_graph_document_roundtrip_through_cli(pentagon_file, monkeypatch, capsys
     text = Path(pentagon_file).read_text()
     g = parse_graph(text)
     assert serialize_graph(g, indent=2) + "\n" == text
+
+
+def test_readme_flags_sentence_names_every_long_option():
+    sentence = re.search(r"Flags:(.*?)\.\s", (ROOT / "README.md").read_text(), re.S).group(1)
+    documented = set(re.findall(r"`(--[a-z-]+)", sentence))
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {opt for p in (parser, *sub.choices.values()) for action in p._actions
+               for opt in action.option_strings if opt.startswith("--")}
+    assert documented == options - {"--help"}

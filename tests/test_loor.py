@@ -143,6 +143,15 @@ def test_gram_from_rep_rejects_degenerate():
         gram_from_rep(rep, g)
 
 
+@pytest.mark.parametrize("factor", [1e-13, 1e13])
+def test_gram_from_rep_is_scale_free(factor):
+    # X is homogeneous of degree 0 in the weights
+    inst = kcbs()
+    g = ExclusivityGraph(inst.graph.n, inst.graph.weights * factor, inst.graph.edges)
+    assert_allclose(gram_from_rep(inst.real_rep, g), gram_from_rep(inst.real_rep, inst.graph),
+                    atol=1e-12)
+
+
 def test_rep_from_gram_pentagon_optimum():
     inst = kcbs()
     sol = lovasz_theta(inst.graph)
@@ -225,6 +234,36 @@ def test_certify_operator_bbc_complex_is_flat():
     assert np.max(np.abs(operator - 29.0 * np.eye(3))) <= 1e-12
     assert sic
     assert_allclose(spectrum, [29.0, 29.0, 29.0], atol=1e-12)
+
+
+def test_certify_operator_complex_identity():
+    g = ExclusivityGraph(n=3, weights=np.ones(3), edges=((0, 1), (0, 2), (1, 2)))
+    rep = OrthRep("complex", 3, np.eye(3, dtype=complex)[0], np.eye(3, dtype=complex))
+    _, spectrum, sic = certify_operator(rep, g)
+    assert_allclose(spectrum, [1.0, 1.0, 1.0], atol=1e-14)
+    assert sic
+
+
+def test_certify_operator_pauli_like():
+    # weights 1 and 3 on the eigenbasis (1, +-i)/sqrt 2 of m give 2 I + m
+    m = np.array([[0.0, 1j], [-1j, 0.0]])
+    g = ExclusivityGraph(n=2, weights=np.array([1.0, 3.0]), edges=((0, 1),))
+    vectors = np.array([[1.0, 1j], [1.0, -1j]]) / np.sqrt(2.0)
+    rep = OrthRep("complex", 2, np.array([1.0, 0.0], dtype=complex), vectors)
+    operator, spectrum, sic = certify_operator(rep, g)
+    assert_allclose(spectrum - 2.0, [-1.0, 1.0], atol=1e-14)
+    assert np.max(np.abs(operator - 2.0 * np.eye(2) - m)) <= 1e-12
+    assert not sic
+
+
+@pytest.mark.parametrize("factor", [1e-9, 1e9])
+def test_certify_operator_sic_flag_is_scale_free(factor):
+    # state independence does not depend on the unit of the weights: bbc21's
+    # rays stay flat (dev 1.4e-6 at 1e9) and the pentagon stays not flat
+    # (dev 8.5e-10 at 1e-9)
+    for inst, rep, flat in ((bbc21(), "complex_rep", True), (kcbs(), "real_rep", False)):
+        g = ExclusivityGraph(inst.graph.n, inst.graph.weights * factor, inst.graph.edges)
+        assert certify_operator(getattr(inst, rep), g)[2] is flat
 
 
 def test_certify_operator_single_vertex():

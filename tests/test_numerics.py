@@ -2,70 +2,45 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from loorkit import bbc21, certify_operator, gram_factor, herm_eig, hermitize
+from loorkit import gram_factor, hermitize
 from loorkit.numerics import psd_part
 
 
-def test_herm_eig_real_identity():
-    eig = herm_eig(np.eye(3))
-    assert eig.vectors.dtype == np.float64
-    assert_allclose(eig.values, [1.0, 1.0, 1.0], atol=1e-14)
+def test_gram_factor_identity_rows_carry_the_spectrum():
+    # row k of Y is sqrt(lambda_k) v_k^T, so its squared norm is lambda_k
+    y = gram_factor(np.eye(3))
+    assert y.dtype == np.float64
+    assert_allclose(np.sum(y**2, axis=1), [1.0, 1.0, 1.0], atol=1e-14)
 
 
-def test_herm_eig_real_known_diagonal_sorted_ascending():
-    eig = herm_eig(np.diag([29.0, 77 / 4, 17.0, 39 / 4, 12.0]))
-    assert eig.vectors.dtype == np.float64
-    assert_allclose(eig.values, [39 / 4, 12.0, 17.0, 77 / 4, 29.0], atol=1e-12)
+def test_gram_factor_known_diagonal_sorted_ascending():
+    y = gram_factor(np.diag([29.0, 77 / 4, 17.0, 39 / 4, 12.0]))
+    assert y.dtype == np.float64
+    assert_allclose(np.sum(y**2, axis=1), [39 / 4, 12.0, 17.0, 77 / 4, 29.0], atol=1e-12)
 
 
-def test_herm_eig_real_reconstructs_random_symmetric():
+def test_gram_factor_reconstructs_random_psd_with_orthogonal_rows():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        m = rng.standard_normal((6, 6))
-        m = (m + m.T) / 2
-        eig = herm_eig(m)
-        assert eig.vectors.dtype == np.float64
+        a = rng.standard_normal((6, 6))
+        m = a @ a.T / 6
+        y = gram_factor(m)
+        assert y.dtype == np.float64 and y.shape == (6, 6)
         scale = max(1.0, np.max(np.abs(m)))
-        recomposed = (eig.vectors * eig.values) @ eig.vectors.T
-        assert np.max(np.abs(recomposed - m)) <= 1e-10 * scale
-        assert np.max(np.abs(eig.vectors.T @ eig.vectors - np.eye(6))) <= 1e-10
+        assert np.max(np.abs(y.T @ y - m)) <= 1e-10 * scale
+        vectors = y.T / np.linalg.norm(y, axis=1)
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(6))) <= 1e-10
 
 
-def test_herm_eig_rejects_bad_input():
-    with pytest.raises(ValueError):
-        herm_eig(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        herm_eig(np.array([[1.0, np.nan], [np.nan, 1.0]]))
-    with pytest.raises(ValueError):
-        herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        herm_eig(np.zeros((0, 0)))
-
-
-def test_herm_eig_identity():
-    eig = herm_eig(np.eye(3, dtype=complex))
-    assert_allclose(eig.values, [1.0, 1.0, 1.0], atol=1e-14)
-
-
-def test_herm_eig_weighted_ray_sum_is_flat():
-    # oracle: the weighted projector sum of the 21-ray complex instance
-    inst = bbc21()
-    operator, _, _ = certify_operator(inst.complex_rep, inst.graph)
-    assert_allclose(operator, 29.0 * np.eye(3), atol=1e-12)
-    assert_allclose(herm_eig(operator).values, [29.0, 29.0, 29.0], atol=1e-12)
-
-
-def test_herm_eig_pauli_like():
-    m = np.array([[0.0, 1j], [-1j, 0.0]])
-    eig = herm_eig(m)
-    assert_allclose(eig.values, [-1.0, 1.0], atol=1e-14)
-    recomposed = (eig.vectors * eig.values) @ eig.vectors.conj().T
-    assert np.max(np.abs(recomposed - m)) <= 1e-12
-
-
-def test_herm_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        herm_eig(np.array([[0.0, 1j], [1j, 0.0]]))
+def test_gram_factor_rejects_bad_input():
+    with pytest.raises(ValueError, match="square"):
+        gram_factor(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        gram_factor(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="symmetry"):
+        gram_factor(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="size"):
+        gram_factor(np.zeros((0, 0)))
 
 
 def test_psd_project_clips_negative_diagonal():
@@ -138,13 +113,6 @@ def test_gram_factor_rejects_complex_input():
 def test_gram_factor_rejects_indefinite():
     with pytest.raises(ValueError):
         gram_factor(np.diag([1.0, -0.5]))
-
-
-@pytest.mark.parametrize("rank_tol", [0.0, -1.0, float("inf"), float("nan"), True])
-def test_gram_factor_rejects_bad_rank_tol(rank_tol):
-    with pytest.raises(ValueError, match="rank_tol"):
-        gram_factor(np.eye(2), rank_tol=rank_tol)
-
 
 
 def test_gram_factor_refusal_floor_is_psd_tol():

@@ -45,6 +45,8 @@ def test_block_embed_rank1_projector_becomes_rank2():
 def test_block_embed_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         block_embed(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        block_embed(np.array([[0.0, 1j], [1j, 0.0]]))
     for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
         with pytest.raises(ValueError, match="Hermitian"):
             block_embed(np.array([[1.0, bad], [np.conj(bad), 1.0]]))

@@ -227,6 +227,17 @@ def test_g40_converges_with_a_certified_gap():
     assert sol.iterations <= 1_000
 
 
+def test_residual_balancing_keeps_a_slow_solve_short():
+    # G(29, .49), 201 edges: 2,675 iterations with residual balancing,
+    # 15,050 with rho held at 1
+    rng = np.random.default_rng(250)
+    n = int(rng.integers(20, 45))
+    p = float(rng.uniform(0.1, 0.7))
+    g = gnp(rng, n, p)
+    assert (n, len(g.edges)) == (29, 201)
+    assert_certified(lovasz_theta(g, tol=1e-8, max_iters=6_000), 1e-8)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_six_decade_weights_converge_within_10k(seed):
     rng = np.random.default_rng(seed)
