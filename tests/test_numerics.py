@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from loorkit import gram_factor, hermitize
-from loorkit.numerics import psd_part
+from loorkit import bbc21, certify_operator, gram_factor, hermitize
+from loorkit.numerics import _checked_hermitian, psd_part
 
 
 def test_gram_factor_identity_rows_carry_the_spectrum():
@@ -41,6 +41,22 @@ def test_gram_factor_rejects_bad_input():
         gram_factor(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="size"):
         gram_factor(np.zeros((0, 0)))
+
+
+def test_herm_eig_weighted_ray_sum_is_flat():
+    # oracle: the weighted projector sum of the 21-ray complex instance is
+    # 29 I, a positive operator that is its own positive part
+    inst = bbc21()
+    operator, _, _ = certify_operator(inst.complex_rep, inst.graph)
+    assert_allclose(operator, 29.0 * np.eye(3), atol=1e-12)
+    assert_allclose(np.linalg.eigvalsh(operator), [29.0, 29.0, 29.0], atol=1e-12)
+    assert_allclose(psd_part(operator), operator, atol=1e-12)
+
+
+def test_herm_eig_rejects_non_hermitian():
+    # complex symmetric but not Hermitian: the check every eigensolve runs behind
+    with pytest.raises(ValueError, match="Hermitian"):
+        _checked_hermitian(np.array([[0.0, 1j], [1j, 0.0]]))
 
 
 def test_psd_project_clips_negative_diagonal():
