@@ -202,24 +202,24 @@ def max_edge_overlap(vectors, g: ExclusivityGraph) -> float:
 def independence_number(g: ExclusivityGraph) -> tuple[float, tuple[int, ...]]:
     """Exact maximum-weight independent set: (alpha, witness).
 
-    Two branch-and-bound searches share bitset adjacency and a greedy
-    weighted clique cover as the pruning bound.  The bitsets label the
-    vertices heaviest first (ties by index), so the lowest set bit of a
-    mask is its heaviest vertex.  The cover takes one clique at a time: it
-    takes the lowest bit, counts its weight for the whole clique, and peels
-    common neighbours (lowest first) until none are left; an independent
-    set takes at most one vertex per clique.
+    One branch-and-bound search, on bitset adjacency with a greedy weighted
+    clique cover as the pruning bound.  The bitsets label the vertices
+    heaviest first (ties by index), so the lowest set bit of a mask is its
+    heaviest vertex.  The cover takes one clique at a time: it takes the
+    lowest bit, counts its weight for the whole clique, and peels common
+    neighbours (lowest first) until none are left; an independent set
+    takes at most one vertex per clique.  Before bounding, the search takes
+    every forced vertex: one with no neighbour left, or with exactly one
+    neighbour no heavier than itself (some maximum set contains it, since
+    that set can trade the neighbour for it).  It then branches on the
+    heaviest vertex left, and stops once its incumbent reaches its goal.
 
-    The first search finds alpha.  Before bounding, it takes every forced
-    vertex: one with no neighbour left, or with exactly one neighbour no
-    heavier than itself (some maximum set contains it, since that set can
-    trade the neighbour for it).  It then branches on the heaviest vertex
-    left.  The second search finds the witness and takes no forced
-    vertices: it walks the original vertex indices in ascending order and
-    tries including each one left before excluding it, so it reaches
-    independent sets in lexicographic order, and the first one within 1e-9
-    (relative) of alpha is the lexicographically smallest maximum set.  Its
-    weight is returned as a correctly rounded sum (math.fsum).
+    Run with no goal, it finds alpha.  The witness walks the original
+    vertex indices in ascending order and keeps vertex k exactly when the
+    same search, with goal alpha less 1e-9 (relative), finds a set holding
+    k and the vertices kept so far; a vertex with no neighbour left is kept
+    without asking.  So the witness is the lexicographically smallest
+    maximum set.  Its weight is a correctly rounded sum (math.fsum).
     """
     n = g.n
     if n > MAX_EXACT_VERTICES:
@@ -253,10 +253,10 @@ def independence_number(g: ExclusivityGraph) -> tuple[float, tuple[int, ...]]:
                 common &= adj[low.bit_length() - 1]
         return ub
 
-    alpha = 0.0
+    top, goal = 0.0, math.inf  # the incumbent, and the weight at which the search stops
 
     def dfs(mask: int, acc: float) -> None:
-        nonlocal alpha
+        nonlocal top
         rest = mask  # take forced vertices; a take rechecks the vertices it touched
         while rest:
             low = rest & -rest
@@ -270,30 +270,29 @@ def independence_number(g: ExclusivityGraph) -> tuple[float, tuple[int, ...]]:
                 mask &= ~(low | nb)
                 acc += wt[v]
                 rest = (rest | adj[nb.bit_length() - 1]) & mask
-        if acc > alpha:
-            alpha = acc
-        if not mask:
-            return
-        if acc + cover_bound(mask) <= alpha:
+        if acc > top:
+            top = acc
+        if not mask or top >= goal or acc + cover_bound(mask) <= top:
             return
         v = (mask & -mask).bit_length() - 1  # heaviest vertex left
         dfs(mask & ~closed[v], acc + wt[v])
         dfs(mask & ~(1 << v), acc)
 
-    full = (1 << n) - 1
-    dfs(full, 0.0)
-    floor = alpha - 1e-9 * max(1.0, abs(alpha))
-
-    def first_set(mask: int, k: int, chosen: tuple[int, ...], acc: float) -> tuple[int, ...] | None:
-        if acc + cover_bound(mask) < floor:
-            return None
-        if not mask:
-            return chosen
-        while not (mask >> label[k]) & 1:  # lowest original index left
-            k += 1
+    mask = (1 << n) - 1
+    dfs(mask, 0.0)
+    goal = top - 1e-9 * max(1.0, abs(top))  # the floor: alpha up to roundoff
+    acc, witness = 0.0, []
+    for k in range(n):  # invariant: some independent set in mask reaches goal - acc
         b = label[k]
-        found = first_set(mask & ~closed[b], k + 1, chosen + (k,), acc + w[k])
-        return found if found is not None else first_set(mask & ~(1 << b), k + 1, chosen, acc)
-
-    witness = first_set(full, 0, (), 0.0)
-    return float(math.fsum(w[v] for v in witness)), witness
+        if not (mask >> b) & 1:
+            continue
+        if adj[b] & mask:
+            top = math.nextafter(goal, -math.inf)  # also prunes what cannot reach goal
+            dfs(mask & ~closed[b], acc + w[k])
+            if top < goal:
+                mask ^= 1 << b
+                continue
+        mask &= ~closed[b]
+        acc += w[k]
+        witness.append(k)
+    return float(math.fsum(w[v] for v in witness)), tuple(witness)

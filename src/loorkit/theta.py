@@ -105,10 +105,10 @@ def _unmet(primal: float, psd: float, lower: float, upper: float, tol: float) ->
 class ThetaSolution:
     """SDP result with a feasibility certificate and a bracket on theta.
 
-    X is exactly affine-feasible (trace 1, zero on edges); primal_residual
-    bounds the affine violation of the PSD-side iterate it was projected
-    from, psd_residual the magnitude of X's most negative eigenvalue.
-    lower <= theta <= upper is the best certified bracket the solve found.
+    X is affine-feasible (trace 1, zero on edges) up to roundoff at the scale
+    of X; primal_residual bounds the affine violation of the PSD-side iterate
+    it was projected from, psd_residual the magnitude of X's most negative
+    eigenvalue.  lower <= theta <= upper is the best certified bracket found.
     """
 
     X: np.ndarray
@@ -174,8 +174,8 @@ def lovasz_theta(
 ) -> ThetaSolution:
     """Solve the real weighted Lovász-number SDP.
 
-    Deterministic for fixed (graph, tol, max_iters); on non-convergence the
-    best feasibility-projected iterate is returned with converged=False.
+    Deterministic for fixed (graph, tol, max_iters).  On non-convergence X
+    and value are those of the last check, lower and upper the best seen.
     """
     _check_tol("tol", tol)
     if not _is_int(max_iters) or max_iters < 1:

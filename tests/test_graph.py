@@ -256,14 +256,14 @@ def test_independence_bounded_by_weight_sum(g):
         ([2, 1, 1], [(0, 1), (0, 2)], (2.0, (0,))),
         # a leaf heavier than its neighbour is in every maximum set
         ([1, 3, 1, 2], [(0, 1), (1, 2), (2, 3)], (5.0, (1, 3))),
-        # leaves 1 and 3 equal their neighbours, so the alpha search takes
-        # 1 and then 2 (the leaf left once 0 is gone); the smallest maximum
-        # set holds neither
+        # leaves 1 and 3 equal their neighbours, so the search for alpha
+        # takes 1 and then 2 (the leaf left once 0 is gone); the smallest
+        # maximum set holds neither
         ([1, 1, 1, 1], [(0, 1), (0, 2), (2, 3)], (2.0, (0, 3))),
         # forced vertices alone take an equal-weight path
         ([1, 1], [(0, 1)], (1.0, (0,))),
         ([5, 5, 5, 5, 5], [(0, 4), (4, 1), (1, 3), (3, 2)], (15.0, (0, 1, 2))),
-        # an isolated vertex is taken by both searches
+        # an isolated vertex is taken by the search and kept by the walk
         ([1, 2, 2], [(1, 2)], (3.0, (0, 1))),
     ],
     ids=["lighter-leaf", "heavier-leaf", "forced-not-in-witness", "equal-edge",
@@ -273,6 +273,44 @@ def test_independence_forced_vertex_ties(weights, edges, expected):
     g = ExclusivityGraph(n=len(weights), weights=np.asarray(weights, float), edges=tuple(edges))
     assert brute_force_independence(g) == expected
     assert independence_number(g) == expected
+
+
+@pytest.mark.parametrize(
+    "weights, edges, expected",
+    [
+        ([1, 1 + 1e-12], [(0, 1)], (1.0, (0,))),
+        ([1, 1 + 1e-6], [(0, 1)], (1.000001, (1,))),
+        ([0.5, 1 + 1e-12, 0.5], [(0, 1), (1, 2)], (1.0, (0, 2))),
+        ([0.5, 1 + 1e-6, 0.5], [(0, 1), (1, 2)], (1.000001, (1,))),
+    ],
+    ids=["edge-within", "edge-beyond", "path-within", "path-beyond"],
+)
+def test_independence_witness_floor(weights, edges, expected):
+    # a set within 1e-9 (relative) of alpha counts as maximum, so the
+    # lexicographically smaller set wins; one 1e-6 lighter does not
+    g = ExclusivityGraph(n=len(weights), weights=np.asarray(weights, float), edges=tuple(edges))
+    assert independence_number(g) == expected
+
+
+@pytest.mark.parametrize(
+    "n, p, integer_weights, expected",
+    [
+        (48, 0.1, False, (22.0, (2, 3, 4, 5, 6, 9, 11, 12, 15, 16, 17, 18, 20, 21, 23, 24,
+                                 25, 29, 37, 40, 41, 43))),
+        (56, 0.1, True, (122.0, (2, 4, 6, 7, 9, 10, 13, 16, 23, 24, 28, 29, 30, 39, 42,
+                                 43, 44, 46, 48, 53, 55))),
+        (64, 0.1, False, (25.0, (1, 3, 5, 8, 10, 11, 13, 18, 20, 22, 25, 27, 33, 34, 36,
+                                 37, 43, 44, 46, 50, 52, 53, 55, 61, 62))),
+        (40, 0.3, True, (62.0, (3, 4, 5, 12, 18, 20, 22, 25, 30, 31))),
+    ],
+    ids=["G48-unit", "G56-integer", "G64-unit", "G40-dense-integer"],
+)
+def test_independence_golden_witness_on_general_graphs(n, p, integer_weights, expected):
+    # beyond brute force and off forests: values recorded from an earlier
+    # solver that found the witness with a separate include-first search
+    rng = np.random.default_rng(n)
+    w = rng.integers(1, 9, n).astype(float) if integer_weights else None
+    assert independence_number(gnp(rng, n, p, w)) == expected
 
 
 def _star(rng, n):

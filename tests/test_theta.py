@@ -221,6 +221,19 @@ def test_nonconvergence_is_reported_not_raised():
     assert_is_the_real_solve(lovasz_theta_complex(kcbs().graph, tol=1e-16, max_iters=300), sol)
 
 
+@pytest.mark.parametrize("cap", [1, 2, 3, 7])
+@pytest.mark.parametrize("make", [kcbs, bbc21], ids=["kcbs", "bbc21"])
+def test_a_cap_between_checks_still_brackets_theta(make, cap):
+    # the cap forces a check off the CHECK_EVERY grid; that check's X may be
+    # an unsafeguarded extrapolation, but lower and upper are the best seen
+    assert cap % theta.CHECK_EVERY
+    inst = make()
+    sol = lovasz_theta(inst.graph, max_iters=cap)
+    assert not sol.converged
+    assert sol.iterations == cap
+    assert sol.lower <= inst.theta_reference <= sol.upper
+
+
 def test_g40_converges_with_a_certified_gap():
     sol = lovasz_theta(gnp(np.random.default_rng(0), 40, 0.3), tol=1e-8)
     assert_certified(sol, 1e-8)
