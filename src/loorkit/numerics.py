@@ -74,15 +74,18 @@ def psd_part(m: np.ndarray) -> np.ndarray:
     the nearest positive-semidefinite matrix in Frobenius norm.
 
     Keeps the eigenpairs with positive eigenvalue and recomposes; eigh reads
-    one triangle only.  The result is bitwise symmetric (Hermitian).  This is
+    one triangle only and sorts the eigenvalues ascending, so the positive
+    ones are a suffix.  The result is bitwise symmetric (Hermitian).  This is
     the solver's inner kernel.
     """
     values, vectors = np.linalg.eigh(m)
-    pos = values > 0.0
-    if not np.any(pos):
+    first = int(np.searchsorted(values, 0.0, side="right"))
+    if first == values.size:
         return np.zeros_like(m)
-    vp = vectors[:, pos]
-    p = (vp * values[pos]) @ vp.conj().T
+    # copy the kept columns column-major: the operand layout selects the
+    # BLAS kernel, and so the product's last bits and the solver's path
+    vp = np.asfortranarray(vectors[:, first:])
+    p = (vp * values[first:]) @ vp.conj().T
     return (p + p.conj().T) / 2.0
 
 

@@ -18,17 +18,22 @@ One evaluation is one PSD projection and one closed-form affine projection:
 
 A fixed point has x = z, an optimum.  Iterating T alone is the plain
 splitting; the loop accelerates it with type-II Anderson acceleration
-(Walker & Ni 2011).  It keeps the last ``ANDERSON_MEMORY`` differences of
-accepted points and of their steps f = T(t) - t, finds the combination
-gamma of step differences that best cancels the current step (least
-squares, with a Tikhonov term of ``ANDERSON_REG`` times the trace of the
-small normal matrix), and moves to t + f minus that combination of point
-and step differences.  A safeguard in the spirit of Zhang, O'Donoghue &
-Boyd (2020) keeps this from diverging on the nonsmooth map: an
-extrapolated point whose step ||x - z|| is longer than the step of the
-point it was extrapolated from is rejected, and the loop takes that
-point's plain step and clears the memory.  Every evaluation counts as an
-iteration, rejected ones included.
+(Walker & Ni 2011).  Over the last ``ANDERSON_MEMORY`` accepted points it
+keeps the differences of their steps f = T(t) - t and of their images
+g = T(t) = t + f, one row each in two preallocated ring buffers, with the
+Gram matrix of the step differences: an append writes one row of each
+buffer and one row and column of the Gram matrix, and clearing the memory
+resets two counters.  The loop finds the combination gamma of step
+differences that best cancels the current step (least squares, with a
+Tikhonov term of ``ANDERSON_REG`` times the trace of the small normal
+matrix) and moves to g minus that combination of image differences (a
+point difference plus its step difference is the image difference).  A
+safeguard in the spirit of Zhang, O'Donoghue & Boyd (2020) keeps this
+from diverging on the nonsmooth map: an extrapolated point whose step
+||x - z|| is longer than the step of the point it was extrapolated from is
+rejected, and the loop takes that point's plain step, to its image g, and
+clears the memory.  Every evaluation counts as an iteration, rejected ones
+included.
 
 The loop runs on the normalized weights w / sum(w), so that W has unit
 trace, and scales value, lower and upper back by sum(w) at the end: theta
@@ -59,15 +64,17 @@ Each end is widened by n eps sum(w) to cover the roundoff in computing
 it, so lower <= upper holds in floating point too.  The best bound seen
 on each side is kept.  The solve has converged when the primal residual
 and the PSD residual are at most tol and the relative gap
-(upper - lower) / upper is at most tol.  Reported values are evaluated
-at the final feasibility-projected iterate, so a returned solution is
-exactly affine-feasible and PSD up to the reported residual p; its value
-is not a bound and may exceed theta by up to n p sum(w).
+(upper - lower) / upper is at most tol.  Reported values are those of the
+last check, evaluated at its feasibility-projected PSD iterate, so a
+returned solution is affine-feasible up to roundoff and PSD up to the
+reported residual p; its value is not a bound and may exceed theta by up
+to n p sum(w).  The iteration cap forces a last check; when the point it
+falls on is an extrapolation the safeguard would reject, that check reads
+the last accepted point instead.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 
 import numpy as np
@@ -174,8 +181,12 @@ def lovasz_theta(
 ) -> ThetaSolution:
     """Solve the real weighted Lovász-number SDP.
 
-    Deterministic for fixed (graph, tol, max_iters).  On non-convergence X
-    and value are those of the last check, lower and upper the best seen.
+    Deterministic for fixed (graph, tol, max_iters).  On non-convergence X,
+    value and the residuals are those of the last check, at iteration
+    max_iters, and lower and upper the best seen.  If the cap falls on an
+    extrapolated point that the safeguard would reject, that check reads
+    the last accepted point, so a capped report never comes from a
+    runaway extrapolation.
     """
     _check_tol("tol", tol)
     if not _is_int(max_iters) or max_iters < 1:
@@ -196,12 +207,19 @@ def lovasz_theta(
     # in the units of the weights
     roundoff = n * np.finfo(float).eps * scale
 
-    # Anderson state: the last accepted point, its step and the step's norm,
-    # and the differences of accepted points and of their steps
-    anchor = step = None
-    anchor_norm = np.inf
-    memory = collections.deque(maxlen=ANDERSON_MEMORY)
+    # Anderson state: the last accepted point with its PSD part, its image
+    # g = T(t) = t + f, its step f and the step's norm; ring buffers of the
+    # differences of accepted images and of accepted steps (row ``slot`` is
+    # written next, the first ``count`` rows are filled), and the Gram
+    # matrix of the step differences, one row and column updated per append
+    anchor = anchor_z = anchor_image = step = None
+    step_norm = np.inf
+    dgs = np.empty((ANDERSON_MEMORY, n * n))
+    dfs = np.empty((ANDERSON_MEMORY, n * n))
+    gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
+    count = slot = 0
     extrapolated = False
+    affine = np.empty((n, n))  # 2z - t + W/(2 rho), projected in place
 
     iterations = 0
     converged = False
@@ -222,20 +240,29 @@ def lovasz_theta(
         # and W/rho with rho u takes 9,300 iterations in all against 8,300.
         z_prev = z
         z = psd_part(t)
-        x = _affine_part(2.0 * z - t + linear, edges, diag)
-        f = x - z  # T(t) - t
+        np.multiply(z, 2.0, out=affine)
+        affine -= t
+        affine += linear
+        f = _affine_part(affine, edges, diag) - z  # T(t) - t
         f_norm = float(np.linalg.norm(f))
+        # the safeguard's test: the extrapolated point did worse than the
+        # point it came from
+        rejected = extrapolated and f_norm > step_norm
 
         if iterations % CHECK_EVERY == 0 or iterations == max_iters:
-            u = t - z
-            primal = abs(float(np.trace(z)) - 1.0)
+            at, az = t, z
+            if rejected and iterations == max_iters:
+                # the last report must not come from a point the safeguard
+                # rejects: read the last accepted one
+                at, az = anchor, anchor_z
+            primal = abs(float(np.trace(az)) - 1.0)
             if edges.size:
-                primal = max(primal, float(np.max(np.abs(z.flat[edges]))))
-            x_report = _affine_part(z.copy(), edges, diag)
+                primal = max(primal, float(np.max(np.abs(az.flat[edges]))))
+            x_report = _affine_part(az.copy(), edges, diag)
             psd_resid = max(0.0, -float(np.linalg.eigvalsh(x_report)[0]))
             value = scale * float(np.sum(w_obj * x_report))
             lower = max(lower, (value + psd_resid * scale) / (1.0 + n * psd_resid) - roundoff)
-            dual.flat[edges] = 2.0 * rho * u.flat[edges]
+            dual.flat[edges] = 2.0 * rho * (at.flat[edges] - az.flat[edges])
             upper = min(upper, scale * float(np.linalg.eigvalsh(dual)[-1]) + roundoff)
             if not _unmet(primal, psd_resid, lower, upper, tol):
                 converged = True
@@ -257,30 +284,36 @@ def lovasz_theta(
                 t = z + s * (t - z)
                 anchor = None
                 extrapolated = False
-                memory.clear()
+                count = slot = 0
                 continue
 
-        if extrapolated and f_norm > anchor_norm:
-            # safeguard: the extrapolated point did worse than the point it
-            # came from, so take that point's plain step and forget the past
-            t = anchor + step
+        if rejected:
+            # take the plain step of the point it came from, to that point's
+            # image, and forget the past
+            t = anchor_image
             extrapolated = False
-            memory.clear()
+            count = slot = 0
             continue
 
+        image = t + f
         if anchor is not None:
-            memory.append(((t - anchor).ravel(), (f - step).ravel()))
-        anchor, step, anchor_norm = t, f, f_norm
-        t = t + f
+            np.subtract(image.ravel(), anchor_image.ravel(), out=dgs[slot])
+            np.subtract(f.ravel(), step.ravel(), out=dfs[slot])
+            count = min(count + 1, ANDERSON_MEMORY)
+            row = dfs[:count] @ dfs[slot]
+            gram[slot, :count] = row
+            gram[:count, slot] = row
+            slot = (slot + 1) % ANDERSON_MEMORY
+        anchor, anchor_z, anchor_image, step, step_norm = t, z, image, f, f_norm
+        t = image
         extrapolated = False
-        if memory:
-            dt, df = (np.array(d) for d in zip(*memory))
-            gram = df @ df.T
-            reg = ANDERSON_REG * float(np.trace(gram))
+        if count:
+            normal = gram[:count, :count].copy()
+            reg = ANDERSON_REG * float(np.trace(normal))
             if reg > 0.0:
-                gram.flat[:: len(memory) + 1] += reg
-                gamma = np.linalg.solve(gram, df @ f.ravel())
-                t = t - ((dt + df).T @ gamma).reshape(n, n)
+                normal.flat[:: count + 1] += reg
+                gamma = np.linalg.solve(normal, dfs[:count] @ f.ravel())
+                t = image - (gamma @ dgs[:count]).reshape(n, n)
                 extrapolated = True
 
     return ThetaSolution(

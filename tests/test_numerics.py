@@ -92,6 +92,43 @@ def test_psd_project_matches_clipping_oracle_and_is_idempotent():
             assert np.array_equal(h, (raw + raw.T) / 2)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shift", [0.0, -1.0], ids=["zero", "negative-definite"])
+def test_psd_part_of_a_matrix_without_positive_eigenvalues_is_zero(shift, dtype):
+    m = np.eye(4, dtype=dtype) * shift
+    if shift:
+        m[0, 1] = 0.5j if dtype is complex else 0.5
+        m[1, 0] = np.conj(m[0, 1])
+    p = psd_part(m)
+    assert p.dtype == m.dtype
+    assert np.array_equal(p, np.zeros((4, 4)))
+
+
+def test_psd_part_drops_a_zero_eigenvalue():
+    # eigh sorts the spectrum to [-1, 0, 1]; the zero sits on the boundary
+    # of the kept positive suffix, and the result is exact either way
+    assert np.array_equal(psd_part(np.diag([0.0, 1.0, -1.0])), np.diag([0.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("n, hermitian, shift", [(7, False, 0.0), (7, True, 0.0), (34, False, 9.0)],
+                         ids=["7-real", "7-complex", "34-real-definite"])
+def test_psd_part_is_bitwise_the_masked_recomposition(n, hermitian, shift):
+    # the kept columns are recomposed in column-major layout; for the
+    # positive-definite 34 x 34 case, a row-major operand makes OpenBLAS
+    # 0.3 pick another kernel and moves the last bits
+    rng = np.random.default_rng(7)
+    raw = rng.standard_normal((n, n))
+    if hermitian:
+        raw = raw + 1j * rng.standard_normal((n, n))
+    m = (raw + raw.conj().T) / 2 + shift * np.eye(n)
+    values, vectors = np.linalg.eigh(m)
+    pos = values > 0.0
+    assert np.any(pos)
+    vp = vectors[:, pos]
+    q = (vp * values[pos]) @ vp.conj().T
+    assert np.array_equal(psd_part(m), (q + q.conj().T) / 2.0)
+
+
 def test_gram_factor_identity():
     y = gram_factor(np.eye(2))
     assert y.shape == (2, 2)

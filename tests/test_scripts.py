@@ -10,10 +10,10 @@ from loorkit import bbc21, cli, serialize_graph
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name):
+def run_script(name, *args):
     src = str(Path(loorkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name)],
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
@@ -30,6 +30,15 @@ def test_odd_cycle_scan_matches_the_closed_form():
     assert [int(row.split()[0]) for row in rows] == [5, 7, 9, 11, 13, 15]
     gaps = [float(row.split()[-1]) for row in rows]
     assert max(gaps) < 1e-8, rows
+
+
+def test_solver_scaling_prints_one_row_per_size():
+    header, *rows = run_script("solver_scaling.py", "--sizes", "12", "16")
+    assert header.split() == ["n", "edges", "iterations", "ms/iter"]
+    assert [int(row.split()[0]) for row in rows] == [12, 16]
+    for row in rows:
+        _, edges, iterations, ms_per_iter = row.split()
+        assert int(edges) > 0 and int(iterations) > 0 and float(ms_per_iter) > 0
 
 
 def test_readme_library_example_runs():

@@ -224,14 +224,31 @@ def test_nonconvergence_is_reported_not_raised():
 @pytest.mark.parametrize("cap", [1, 2, 3, 7])
 @pytest.mark.parametrize("make", [kcbs, bbc21], ids=["kcbs", "bbc21"])
 def test_a_cap_between_checks_still_brackets_theta(make, cap):
-    # the cap forces a check off the CHECK_EVERY grid; that check's X may be
-    # an unsafeguarded extrapolation, but lower and upper are the best seen
+    # the cap forces a check off the CHECK_EVERY grid.  lower and upper are
+    # the best seen; X, value and the residuals come from the capped point,
+    # or from the last accepted point when the safeguard would reject the
+    # capped one, so the report never comes from a runaway extrapolation
     assert cap % theta.CHECK_EVERY
     inst = make()
     sol = lovasz_theta(inst.graph, max_iters=cap)
     assert not sol.converged
     assert sol.iterations == cap
     assert sol.lower <= inst.theta_reference <= sol.upper
+    assert sol.psd_residual < 1
+    assert sol.primal_residual < 10
+
+
+@pytest.mark.parametrize("make", [kcbs, bbc21], ids=["kcbs", "bbc21"])
+def test_every_small_cap_reports_a_sane_point(make):
+    # caps 1-30: some stop unconverged off the grid, some converge at the
+    # capped check, and caps past 25 converge at the first grid check
+    inst = make()
+    for cap in range(1, 31):
+        sol = lovasz_theta(inst.graph, max_iters=cap)
+        assert sol.converged or sol.iterations == cap, cap
+        assert sol.lower <= inst.theta_reference <= sol.upper, cap
+        assert sol.psd_residual < 1, cap
+        assert sol.primal_residual < 10, cap
 
 
 def test_g40_converges_with_a_certified_gap():
