@@ -53,11 +53,7 @@ def _render(payload: dict, args) -> str:
     lines = []
     for key, value in payload.items():
         if isinstance(value, list):
-            if value and isinstance(value[0], list):
-                lines.append(f"{key}:")
-                lines.extend("  " + "  ".join(repr(x) for x in row) for row in value)
-            else:
-                lines.append(f"{key}: " + " ".join(repr(x) for x in value))
+            lines.append(f"{key}: " + " ".join(repr(x) for x in value))
         else:
             lines.append(f"{key}: {value!r}" if isinstance(value, float) else f"{key}: {value}")
     return "\n".join(lines)
@@ -103,7 +99,7 @@ def _cmd_extract(args) -> int:
         _report_unconverged(sol, args)
         return EXIT_NO_CONVERGENCE
     try:
-        rep = loor_mod.rep_from_gram(sol.X, g, psd_tol=args.tol)
+        rep = loor_mod.rep_from_gram(sol.X, g, tol=args.tol)
     except ValueError as exc:
         print(f"solver optimum at tol {args.tol!r} gives no representation: {exc}",
               file=sys.stderr)
@@ -131,10 +127,7 @@ def _cmd_realify(args) -> int:
 def _cmd_verify(args) -> int:
     rep = loor_mod.parse_rep(_read_text(args.rep_path))
     g = graph_mod.parse_graph(_read_text(args.graph))
-    report = loor_mod.verify_rep(
-        rep, g, tol=args.tol, target=args.target, value_tol=args.value_tol,
-        with_sic=args.sic,
-    )
+    report = loor_mod.verify_rep(rep, g, tol=args.tol, target=args.target, with_sic=args.sic)
     payload = {
         "passed": report.passed,
         "value": report.value,
@@ -239,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="graph file the representation claims")
     p.add_argument("--tol", type=_positive, default=loor_mod.VERIFY_TOL)
     p.add_argument("--target", type=_finite, default=None)
-    p.add_argument("--value-tol", type=_positive, default=loor_mod.VALUE_TOL, dest="value_tol")
     p.add_argument("--sic", action="store_true", help="report the operator spectrum")
     p.set_defaults(func=_cmd_verify)
 

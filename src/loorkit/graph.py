@@ -176,10 +176,11 @@ def orthogonality_graph(vectors, weights=None, tol: float = ORTHO_TOL) -> Exclus
     if v.ndim != 2:
         raise ValueError(f"vectors must form an (n, d) array, got shape {v.shape}")
     _check_tol("tol", tol)
-    bad = np.flatnonzero(_norm_deviation(v) > UNIT_TOL)
+    deviation = _norm_deviation(v)
+    bad = np.flatnonzero(~(deviation <= UNIT_TOL))  # NaN is not unit either
     if bad.size:
         k = int(bad[0])
-        raise ValueError(f"vector {k} is not unit (norm {float(np.linalg.norm(v[k]))!r})")
+        raise ValueError(f"vector {k} is not unit (norm deviation {float(deviation[k])!r})")
     n = v.shape[0]
     if weights is None:
         weights = np.ones(n)

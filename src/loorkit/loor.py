@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 SIC_TOL = 1e-8
-VERIFY_TOL = 1e-8  # verify_rep's default residual tolerance
-VALUE_TOL = 1e-6  # verify_rep's default tolerance on |value - target|
+VERIFY_TOL = 1e-8  # verify_rep's default tolerance
 
 
 class RepFormatError(ValueError):
@@ -181,18 +180,20 @@ def verify_rep(
     g: ExclusivityGraph,
     tol: float = VERIFY_TOL,
     target: float | None = None,
-    value_tol: float = VALUE_TOL,
     with_sic: bool = False,
 ) -> VerificationReport:
     """Residual report for a representation; failures are reported, not raised.
 
-    Raises ValueError on a misaligned graph, on ``tol`` or ``value_tol``
-    not positive and finite, and on a ``target`` that is not a finite
-    number; a bool is refused for all three.
+    The one tolerance ``tol`` bounds the norm and edge residuals and, when
+    a ``target`` is given, |value - target| relative to sum(w): the value
+    is 1-homogeneous in the weights, so the check is scale-free.
+
+    Raises ValueError on a misaligned graph, on ``tol`` not positive and
+    finite, and on a ``target`` that is not a finite number; a bool is
+    refused for both.
     """
     _check_aligned(rep, g)
     _check_tol("tol", tol)
-    _check_tol("value_tol", value_tol)
     if target is not None and not (_is_number(target) and math.isfinite(target)):
         raise ValueError(f"target must be a finite number, got {target!r}")
     max_norm = _max_norm_deviation(rep.handle, rep.vectors)
@@ -201,7 +202,7 @@ def verify_rep(
     value = float(np.dot(g.weights, overlap))
     passed = max_norm <= tol and max_edge <= tol
     if target is not None:
-        passed = passed and abs(value - target) <= value_tol
+        passed = passed and abs(value - target) <= tol * g.weight_sum
     spectrum = None
     sic = None
     if with_sic:
@@ -235,7 +236,7 @@ def gram_from_rep(rep: OrthRep, g: ExclusivityGraph) -> np.ndarray:
     return hermitize(x)
 
 
-def rep_from_gram(x, g: ExclusivityGraph, psd_tol: float = PSD_TOL) -> OrthRep:
+def rep_from_gram(x, g: ExclusivityGraph, tol: float = PSD_TOL) -> OrthRep:
     """Extract a real representation from a feasible optimum of the SDP.
 
     Gram-factors X, normalizes the factor columns into vertex vectors, and
@@ -246,21 +247,23 @@ def rep_from_gram(x, g: ExclusivityGraph, psd_tol: float = PSD_TOL) -> OrthRep:
 
     A complex (Hermitian) X is replaced by its real part: Re X has the same
     trace, zero edges and value, and is PSD, so it is a real optimum.
-    ``psd_tol`` is ``gram_factor``'s refusal floor: pass the tolerance X was
-    solved at, so that X's own PSD residual is accepted.
+    ``tol`` bounds X's trace and edge deviations and is ``gram_factor``'s
+    PSD refusal floor: pass the tolerance X was solved at, so that X's own
+    residuals are accepted.
     """
+    _check_tol("tol", tol)
     a = np.asarray(np.real(x), dtype=float)
     if a.shape != (g.n, g.n):
         raise ValueError(f"expected a {g.n} x {g.n} matrix, got shape {a.shape}")
     tr_dev = abs(float(np.trace(a)) - 1.0)
     ei, ej = g.edge_arrays()
     edge_dev = float(np.max(np.abs(a[ei, ej]))) if ei.size else 0.0
-    if max(tr_dev, edge_dev) > 1e-6:
+    if max(tr_dev, edge_dev) > tol:
         raise ValueError(
             f"matrix is not feasible: trace deviation {tr_dev:.3e}, "
             f"edge deviation {edge_dev:.3e}"
         )
-    y = gram_factor(a, psd_tol)
+    y = gram_factor(a, tol)
     r = y.shape[0]
     if r == 0:
         raise ValueError("matrix has numerical rank 0")

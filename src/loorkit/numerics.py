@@ -63,9 +63,10 @@ def _check_tol(name: str, value) -> None:
 
 
 def _norm_deviation(v) -> np.ndarray:
-    """|norm - 1| of a vector, or of each row of an (n, d) array."""
+    """|norm - 1| of a vector, or of each row of an (n, d) array; inf on overflow."""
     a = np.asarray(v)
-    norms = np.linalg.norm(a) if a.ndim == 1 else np.linalg.norm(a, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(a) if a.ndim == 1 else np.linalg.norm(a, axis=1)
     return np.abs(norms - 1.0)
 
 

@@ -89,12 +89,12 @@ def test_criterion_04_real_vector_reproduction():
     out = vector_realify(inst.complex_rep, inst.graph)
     dev = float(np.max(np.abs(out.vectors - inst.real_rep.vectors)))
     dev = max(dev, float(np.max(np.abs(out.handle - inst.real_rep.handle))))
-    report = verify_rep(out, inst.graph, tol=1e-10, target=29.0, value_tol=1e-9)
+    report = verify_rep(out, inst.graph, tol=1e-10, target=29.0)
     _report(
         4,
         "vector conversion reproduces the 21 five-dim reference vectors to 1e-12 "
         "and verifies at 29",
-        out.dim == 5 and dev <= 1e-12 and report.passed,
+        out.dim == 5 and dev <= 1e-12 and report.passed and abs(report.value - 29.0) <= 1e-9,
         f"entry dev {dev:.2e}, value {report.value:.10f}",
     )
 

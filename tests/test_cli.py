@@ -133,7 +133,7 @@ def test_extract_pentagon_roundtrips_through_verify(pentagon_file, tmp_path, mon
     assert rep.dim == 3
     code, out, _ = run_cli(
         ["verify", "--graph", pentagon_file, "--target", repr(float(np.sqrt(5.0))),
-         "--value-tol", "1e-5", "--tol", "1e-6"],
+         "--tol", "1e-6"],
         stdin_text=rep_doc, capsys=capsys, monkeypatch=monkeypatch,
     )
     assert code == 0
@@ -259,6 +259,15 @@ def test_realify_vector_accepts_handle_unit_within_unit_tol(monkeypatch, capsys)
                              capsys=capsys, monkeypatch=monkeypatch)
     assert (code, err) == (0, "")
     assert parse_rep(out).dim == 5
+
+
+def test_orthograph_refuses_weights_that_are_not_numbers(monkeypatch, capsys):
+    _, rep_doc, _ = run_cli(["instance", "kcbs", "--what", "rep-real"],
+                            capsys=capsys, monkeypatch=monkeypatch)
+    code, out, err = run_cli(["orthograph", "-", "--weights", "x"], stdin_text=rep_doc,
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --weights must be comma-separated numbers")
 
 
 @pytest.mark.parametrize("command", [["realify", "--method", "vector"], ["orthograph"]])
@@ -411,7 +420,7 @@ def test_bad_flags_exit_2(monkeypatch, capsys):
 def test_nonpositive_tolerances_exit_2(pentagon_file, monkeypatch, capsys):
     cases = [(command, flag, value)
              for command, flag in (("theta", "--tol"), ("extract", "--tol"),
-                                   ("verify", "--tol"), ("verify", "--value-tol"),
+                                   ("verify", "--tol"),
                                    ("orthograph", "--ortho-tol"))
              for value in ("-1", "0", "inf", "nan", "abc")]
     cases += [("verify", "--target", value) for value in ("inf", "-inf", "nan", "abc")]
@@ -422,6 +431,10 @@ def test_nonpositive_tolerances_exit_2(pentagon_file, monkeypatch, capsys):
                                  capsys=capsys, monkeypatch=monkeypatch)
         assert (code, out) == (2, ""), (command, flag, value)
         assert f"argument {flag}:" in err, (command, flag, value, err)
+    # verify has one tolerance, --tol; a value tolerance is no longer an option
+    code, out, err = run_cli(["verify", pentagon_file, "--graph", pentagon_file,
+                              "--value-tol", "1e-6"], capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "") and "unrecognized arguments: --value-tol" in err
 
 
 def test_python_dash_m_matches_main(monkeypatch, capsys):
@@ -496,6 +509,16 @@ def test_text_format_renders(pentagon_file, monkeypatch, capsys):
                            capsys=capsys, monkeypatch=monkeypatch)
     assert code == 0
     assert "alpha: 2.0" in out
+    _, rep_doc, _ = run_cli(["instance", "kcbs", "--what", "rep-real"],
+                            capsys=capsys, monkeypatch=monkeypatch)
+    code, out, _ = run_cli(["verify", "--graph", pentagon_file, "--sic", "--format", "text"],
+                           stdin_text=rep_doc, capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 0
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert lines["passed"] == "True"
+    # a flat list renders as one line of space-separated floats
+    assert len([float(x) for x in lines["per_vertex_overlap"].split(" ")]) == 5
+    assert len([float(x) for x in lines["sic_spectrum"].split(" ")]) == 3
 
 
 def test_graph_document_roundtrip_through_cli(pentagon_file, monkeypatch, capsys):

@@ -79,6 +79,7 @@ def test_parse_single_vertex():
         ('{"n": 2, "weights": [true, 1], "edges": []}', r"weights\[0\]"),
         pytest.param("[" * 100_000, "malformed", id="deeply-nested-malformed"),
         ('{"n": 2, "weights": [1e308, 1e308], "edges": []}', "'weights'"),
+        ('{"n": 2, "weights": [1, 1], "edges": {}}', r"'edges' must be a list of \[i, j\] pairs"),
     ],
 )
 def test_parse_errors_name_the_field(doc, fragment):
@@ -93,14 +94,22 @@ def test_parse_errors_name_the_field(doc, fragment):
         (lambda: ExclusivityGraph(True, [1.0], ()), "'n'"),
         (lambda: ExclusivityGraph(2, [True, True], ()), r"weights\[0\]"),
         (lambda: OrthRep("real", True, [1.0], [[1.0]]), "'dim'"),
+        (lambda: ExclusivityGraph(3, np.ones(2), ()),
+         r"'weights' must be a list of 3 numbers, got shape \(2,\)"),
+        (lambda: OrthRep("real", 2, [1, 0], np.ones((1, 3))), r"'vectors' must have shape \(n, 2\)"),
     ],
-    ids=["float-endpoint", "bool-n", "bool-weights", "bool-dim"],
+    ids=["float-endpoint", "bool-n", "bool-weights", "bool-dim", "weights-shape", "vectors-shape"],
 )
 def test_constructors_reject_bad_fields(make, fragment):
     # the constructors are the validators, so library callers get the same
     # field-naming errors as documents read by the parsers
     with pytest.raises(ValueError, match=fragment):
         make()
+
+
+def test_graph_is_never_equal_to_a_non_graph():
+    assert (kcbs().graph == 5) is False
+    assert kcbs().graph != "pentagon"
 
 
 def test_constructor_accepts_numpy_integers():
@@ -186,8 +195,10 @@ def test_orthogonality_graph_unitary_invariance():
 
 
 def test_orthogonality_graph_rejects_bad_vectors():
-    with pytest.raises(ValueError, match="not unit"):
-        orthogonality_graph(np.array([[1.0, 0.0], [2.0, 0.0]]))
+    # an overflowing norm is refused by message, not by a numpy warning
+    for vectors in ([[1.0, 0.0], [2.0, 0.0]], [[1e200, 1e200]], [[np.nan, 0.0]]):
+        with pytest.raises(ValueError, match="not unit"):
+            orthogonality_graph(np.array(vectors))
     with pytest.raises(ValueError, match="shape"):
         orthogonality_graph(np.ones(3))
 

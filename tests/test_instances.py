@@ -18,9 +18,9 @@ def test_every_stored_rep_verifies():
         for rep in (inst.complex_rep, inst.real_rep):
             if rep is None:
                 continue
-            report = verify_rep(rep, inst.graph, tol=1e-10,
-                                target=inst.theta_reference, value_tol=1e-10)
+            report = verify_rep(rep, inst.graph, tol=1e-10, target=inst.theta_reference)
             assert report.passed, (inst.name, rep.field)
+            assert abs(report.value - inst.theta_reference) <= 1e-10, (inst.name, rep.field)
 
 
 def test_kcbs_structure():

@@ -94,8 +94,7 @@ def test_verify_reports_failures_without_raising():
 
 @pytest.mark.parametrize(
     ("argument", "value"),
-    [(name, value) for name in ("tol", "value_tol")
-     for value in (0.0, -1.0, float("inf"), float("nan"), True)]
+    [("tol", value) for value in (0.0, -1.0, float("inf"), float("nan"), True)]
     + [("target", value) for value in (float("inf"), float("-inf"), float("nan"), True)],
 )
 def test_verify_rep_rejects_bad_arguments(argument, value):
@@ -103,6 +102,28 @@ def test_verify_rep_rejects_bad_arguments(argument, value):
     kwargs = {"target": 29.0, argument: value}
     with pytest.raises(ValueError, match=f"^{argument} must be"):
         verify_rep(inst.real_rep, inst.graph, **kwargs)
+
+
+@pytest.mark.parametrize(
+    ("factor", "target", "passed"),
+    [(1e-22, 0.0, False), (1e13, "value", True), (1e13, "theta", True)],
+    ids=["tiny-weights-zero-target", "huge-weights-exact-value", "huge-weights-theta"],
+)
+def test_verify_value_check_is_scale_free(factor, target, passed):
+    # the value is 1-homogeneous in w, so the bound on |value - target| is tol * sum(w);
+    # near 1e13 the doubles are 0.004 apart, so theta itself misses the value by roundoff
+    inst = kcbs()
+    g = ExclusivityGraph(5, inst.graph.weights * factor, inst.graph.edges)
+    target = {"value": rep_value(inst.real_rep, g), "theta": SQRT5 * factor}.get(target, target)
+    assert verify_rep(inst.real_rep, g, target=target).passed is passed
+
+
+@pytest.mark.parametrize(("offset", "passed"), [(0.5, True), (2.0, False), (-0.5, True), (-2.0, False)])
+def test_verify_value_bound_is_tol_times_weight_sum(offset, passed):
+    inst = bbc21()
+    tol = 1e-6
+    target = rep_value(inst.real_rep, inst.graph) + offset * tol * inst.graph.weight_sum
+    assert verify_rep(inst.real_rep, inst.graph, tol=tol, target=target).passed is passed
 
 
 def test_report_value_consistent_with_overlaps():
@@ -210,6 +231,34 @@ def test_rep_from_gram_rejects_infeasible():
     g = kcbs().graph
     with pytest.raises(ValueError, match="not feasible"):
         rep_from_gram(np.eye(5), g)  # trace 5
+
+
+@pytest.mark.parametrize(("tol", "accepted"), [(None, False), (1e-6, False), (1e-4, True)],
+                         ids=["default", "1e-6", "1e-4"])
+def test_rep_from_gram_feasibility_follows_tol(tol, accepted):
+    g = ExclusivityGraph(n=4, weights=np.ones(4), edges=())
+    x = (1.0 + 1e-5) * np.eye(4) / 4.0  # trace off by 1e-5
+    kwargs = {} if tol is None else {"tol": tol}
+    if accepted:
+        assert rep_from_gram(x, g, **kwargs).dim == 4
+    else:
+        with pytest.raises(ValueError, match="not feasible: trace deviation 1.000e-05"):
+            rep_from_gram(x, g, **kwargs)
+
+
+@pytest.mark.parametrize(
+    ("x", "kwargs", "fragment"),
+    [
+        (np.eye(4) / 4.0, {}, "expected a 5 x 5 matrix"),
+        (np.zeros((5, 5)), {"tol": 2.0}, "numerical rank 0"),
+        (np.eye(5) / 5.0, {"tol": float("nan")}, "^tol must be"),
+        (np.eye(5) / 5.0, {"tol": True}, "^tol must be"),
+    ],
+    ids=["wrong-shape", "rank-0", "nan-tol", "bool-tol"],
+)
+def test_rep_from_gram_refusals_name_the_cause(x, kwargs, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        rep_from_gram(x, kcbs().graph, **kwargs)
 
 
 def test_rep_from_gram_no_handle_error():
@@ -328,6 +377,15 @@ def test_rep_json_complex_scalars_are_pairs():
         ('{"field": "real", "dim": 2, "handle": [1.0], "vectors": []}', "handle"),
         ('{"field": "complex", "dim": 1, "handle": [1.0], "vectors": []}', "re, im"),
         ('{"field": "real", "dim": 1, "handle": [2.0], "vectors": []}', "unit"),
+        ('{"field": "real", "dim": 2, "handle": [1e308, 0], "vectors": [[1, 0]]}', "unit"),
+        ('{"field": "real", "dim": 2, "handle": [1, 0], "vectors": [[1e308, 1e308]]}', "unit"),
+        ('{"field": "real", "dim": 1, "handle": [NaN], "vectors": [[1]]}', "non-finite"),
+        ('{"field": "real", "dim": 1, "handle": [1], "vectors": [[Infinity]]}', "non-finite"),
+        ('{"field": "real", "dim": 1, "handle": 5, "vectors": [[1]]}', "handle must be a list"),
+        ('{"field": "real", "dim": 2, "handle": [1, 0], "vectors": [[1]]}',
+         r"vectors\[0\] has 1 entries but 'handle' has 2"),
+        ('{"field": "real", "dim": 1, "handle": [1], "vectors": "x"}',
+         "'vectors' must be a list of vectors"),
         ('{"field": "real", "dim": 1, "handle": [1.0], "vectors": [], "x": 0}', "unknown"),
         ("[1, 2]", "object"),
         pytest.param("[" * 100_000, "malformed", id="deeply-nested-malformed"),

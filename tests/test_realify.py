@@ -223,6 +223,11 @@ def test_realify_map_known_ray():
     assert_allclose(realify_map_M(v), expected, atol=1e-15)
 
 
+def test_realify_map_refuses_a_3d_array():
+    with pytest.raises(ValueError, match=r"expected a vector or an \(n, d\) array"):
+        realify_map_M(np.ones((2, 2, 2), dtype=complex))
+
+
 def test_realify_map_inner_product_identity():
     rng = np.random.default_rng(17)
     for _ in range(100):
