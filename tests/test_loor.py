@@ -203,7 +203,8 @@ def test_rep_from_gram_takes_the_real_part_of_a_hermitian_optimum(make):
         warnings.simplefilter("error")
         rep = rep_from_gram(x, inst.graph)
     assert rep.field == "real"
-    assert verify_rep(rep, inst.graph, tol=1e-6, target=inst.theta_reference).passed
+    report = verify_rep(rep, inst.graph, tol=1e-6, target=inst.theta_reference)
+    assert report.passed and abs(report.value - inst.theta_reference) <= 1e-6
     from_real_part = rep_from_gram(x.real, inst.graph)
     assert np.array_equal(rep.handle, from_real_part.handle)
     assert np.array_equal(rep.vectors, from_real_part.vectors)
