@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import ExclusivityGraph, _is_int, _is_number, _load_document, max_edge_overlap
-from .numerics import PSD_TOL, UNIT_TOL, _check_tol, _norm_deviation, gram_factor, hermitize
+from .numerics import UNIT_TOL, _check_tol, _checked_hermitian, _norm_deviation, hermitize
 
 __all__ = [
     "OrthRep",
@@ -38,6 +38,8 @@ __all__ = [
 
 SIC_TOL = 1e-8
 VERIFY_TOL = 1e-8  # verify_rep's default tolerance
+# rep_from_gram keeps the eigenvalues of X above RANK_TOL * lambda_max
+RANK_TOL = 1e-7
 
 
 class RepFormatError(ValueError):
@@ -236,20 +238,23 @@ def gram_from_rep(rep: OrthRep, g: ExclusivityGraph) -> np.ndarray:
     return hermitize(x)
 
 
-def rep_from_gram(x, g: ExclusivityGraph, tol: float = PSD_TOL) -> OrthRep:
+def rep_from_gram(x, g: ExclusivityGraph, tol: float = 1e-6) -> OrthRep:
     """Extract a real representation from a feasible optimum of the SDP.
 
-    Gram-factors X, normalizes the factor columns into vertex vectors, and
-    reconstructs the handle from sum_i sqrt(w_i) y_i (proportional to the
-    top eigenvector of the weighted projector sum at an optimum).  Vertices
+    Factors X = Y^T Y from its eigenvalues above ``RANK_TOL * lambda_max``,
+    normalizes the factor columns y_i into vertex vectors, and reconstructs
+    the handle from sum_i sqrt(w_i) y_i (proportional to the top
+    eigenvector of the weighted projector sum at an optimum).  Vertices
     whose factor column vanishes get a fresh appended coordinate axis each,
     which keeps them unit and orthogonal to everything previously present.
 
     A complex (Hermitian) X is replaced by its real part: Re X has the same
     trace, zero edges and value, and is PSD, so it is a real optimum.
-    ``tol`` bounds X's trace and edge deviations and is ``gram_factor``'s
-    PSD refusal floor: pass the tolerance X was solved at, so that X's own
-    residuals are accepted.
+    ``tol`` bounds X's trace and edge deviations and is the PSD refusal
+    floor: X is refused when an eigenvalue lies below
+    -tol * max(1, lambda_max), widened by n eps lambda_max of roundoff.
+    Pass the tolerance X was solved at, so that X's own residuals are
+    accepted.
     """
     _check_tol("tol", tol)
     a = np.asarray(np.real(x), dtype=float)
@@ -263,7 +268,15 @@ def rep_from_gram(x, g: ExclusivityGraph, tol: float = PSD_TOL) -> OrthRep:
             f"matrix is not feasible: trace deviation {tr_dev:.3e}, "
             f"edge deviation {edge_dev:.3e}"
         )
-    y = gram_factor(a, tol)
+    values, vectors = np.linalg.eigh(_checked_hermitian(a))
+    lam_max = max(float(values[-1]), 0.0)
+    roundoff = g.n * np.finfo(float).eps * lam_max
+    if float(values[0]) < -tol * max(1.0, lam_max) - roundoff:
+        raise ValueError(
+            f"matrix is not positive semidefinite: min eigenvalue {values[0]:.3e}"
+        )
+    keep = values > RANK_TOL * lam_max
+    y = np.sqrt(values[keep])[:, None] * vectors[:, keep].T
     r = y.shape[0]
     if r == 0:
         raise ValueError("matrix has numerical rank 0")

@@ -1,4 +1,5 @@
-"""Dense linear algebra for desk-scale symmetric and Hermitian problems.
+"""Dense linear algebra for desk-scale symmetric and Hermitian problems:
+hermitization, input checks and the solver's PSD projection.
 
 Matrices are plain numpy arrays, real symmetric or complex Hermitian;
 every routine keeps the input's field.  ``hermitize`` tightens
@@ -16,18 +17,12 @@ import numpy as np
 
 __all__ = [
     "hermitize",
-    "gram_factor",
 ]
 
 # relative tolerance for accepting input as symmetric / Hermitian
 SYMMETRY_TOL = 1e-8
 # absolute tolerance for accepting a vector as unit norm
 UNIT_TOL = 1e-8
-# default floor, relative to max(1, lambda_max), below which gram_factor
-# calls a matrix not positive semidefinite
-PSD_TOL = 1e-6
-# gram_factor keeps the eigenvalues above RANK_TOL * lambda_max
-RANK_TOL = 1e-7
 
 
 def hermitize(m) -> np.ndarray:
@@ -88,26 +83,3 @@ def psd_part(m: np.ndarray) -> np.ndarray:
     vp = np.asfortranarray(vectors[:, first:])
     p = (vp * values[first:]) @ vp.conj().T
     return (p + p.conj().T) / 2.0
-
-
-def gram_factor(x, psd_tol: float = PSD_TOL) -> np.ndarray:
-    """Factor a PSD matrix X into Y with Y^T Y = X, Y of shape (r, n).
-
-    r is the number of eigenvalues above ``RANK_TOL * lambda_max``; column
-    y_i of Y is the vector attached to index i.  Raises on materially
-    non-PSD input: an eigenvalue below -psd_tol * max(1, lambda_max), widened
-    by n eps lambda_max of roundoff.  A solver optimum of unit trace that
-    is PSD up to a residual p <= tol passes with ``psd_tol=tol``.
-    """
-    _check_tol("psd_tol", psd_tol)
-    if np.iscomplexobj(x):
-        raise ValueError("gram_factor expects a real matrix; take the real part first")
-    values, vectors = np.linalg.eigh(_checked_hermitian(x))
-    lam_max = max(float(values[-1]), 0.0)
-    roundoff = values.size * np.finfo(float).eps * lam_max
-    if float(values[0]) < -psd_tol * max(1.0, lam_max) - roundoff:
-        raise ValueError(
-            f"matrix is not positive semidefinite: min eigenvalue {values[0]:.3e}"
-        )
-    keep = values > RANK_TOL * lam_max
-    return np.sqrt(values[keep])[:, None] * vectors[:, keep].T

@@ -47,7 +47,8 @@ roundoff, which the safeguard's comparisons can on occasion turn into a
 different path; every path ends in a certified bracket.
 
 Every ``CHECK_EVERY`` iterations the solver certifies a bracket
-lower <= theta <= upper from the point just evaluated, accepted or not:
+lower <= theta <= upper from the point just evaluated, or from the last
+accepted point when the safeguard rejects the one just evaluated:
 
 - lower = (W . X + p sum(w)) / (1 + n p), with X the affine projection of
   the PSD iterate and p its PSD residual (the magnitude of its most
@@ -61,16 +62,15 @@ Both bounds hold at any point, so acceleration changes which points are
 visited, never what a bracket certifies.
 
 Each end is widened by n eps sum(w) to cover the roundoff in computing
-it, so lower <= upper holds in floating point too.  The best bound seen
-on each side is kept.  The solve has converged when the primal residual
+it, so lower <= upper holds in floating point too.  upper is the best
+seen; lower is the bound the reported X certifies, so a small gap means
+that X is near optimal.  The solve has converged when the primal residual
 and the PSD residual are at most tol and the relative gap
 (upper - lower) / upper is at most tol.  Reported values are those of the
 last check, evaluated at its feasibility-projected PSD iterate, so a
 returned solution is affine-feasible up to roundoff and PSD up to the
 reported residual p; its value is not a bound and may exceed theta by up
-to n p sum(w).  The iteration cap forces a last check; when the point it
-falls on is an extrapolation the safeguard would reject, that check reads
-the last accepted point instead.
+to n p sum(w).  The iteration cap forces a last check.
 """
 
 from __future__ import annotations
@@ -115,7 +115,8 @@ class ThetaSolution:
     X is affine-feasible (trace 1, zero on edges) up to roundoff at the scale
     of X; primal_residual bounds the affine violation of the PSD-side iterate
     it was projected from, psd_residual the magnitude of X's most negative
-    eigenvalue.  lower <= theta <= upper is the best certified bracket found.
+    eigenvalue.  lower <= theta <= upper is a certified bracket: lower is
+    the bound X itself certifies, upper the best dual bound found.
     """
 
     X: np.ndarray
@@ -182,11 +183,10 @@ def lovasz_theta(
     """Solve the real weighted Lovász-number SDP.
 
     Deterministic for fixed (graph, tol, max_iters).  On non-convergence X,
-    value and the residuals are those of the last check, at iteration
-    max_iters, and lower and upper the best seen.  If the cap falls on an
-    extrapolated point that the safeguard would reject, that check reads
-    the last accepted point, so a capped report never comes from a
-    runaway extrapolation.
+    value, lower and the residuals are those of the last check, at
+    iteration max_iters, and upper the best seen.  A check that falls on an
+    extrapolated point the safeguard rejects reads the last accepted point,
+    so a report never comes from a runaway extrapolation.
     """
     _check_tol("tol", tol)
     if not _is_int(max_iters) or max_iters < 1:
@@ -251,9 +251,9 @@ def lovasz_theta(
 
         if iterations % CHECK_EVERY == 0 or iterations == max_iters:
             at, az = t, z
-            if rejected and iterations == max_iters:
-                # the last report must not come from a point the safeguard
-                # rejects: read the last accepted one
+            if rejected:
+                # a report must not come from a point the safeguard rejects:
+                # read the last accepted one
                 at, az = anchor, anchor_z
             primal = abs(float(np.trace(az)) - 1.0)
             if edges.size:
@@ -261,7 +261,7 @@ def lovasz_theta(
             x_report = _affine_part(az.copy(), edges, diag)
             psd_resid = max(0.0, -float(np.linalg.eigvalsh(x_report)[0]))
             value = scale * float(np.sum(w_obj * x_report))
-            lower = max(lower, (value + psd_resid * scale) / (1.0 + n * psd_resid) - roundoff)
+            lower = (value + psd_resid * scale) / (1.0 + n * psd_resid) - roundoff
             dual.flat[edges] = 2.0 * rho * (at.flat[edges] - az.flat[edges])
             upper = min(upper, scale * float(np.linalg.eigvalsh(dual)[-1]) + roundoff)
             if not _unmet(primal, psd_resid, lower, upper, tol):

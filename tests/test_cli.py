@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from loorkit import (
-    ExclusivityGraph, OrthRep, bbc21, cli, kcbs, loor, parse_graph, parse_rep, serialize_graph,
-    serialize_rep, verify_rep,
+    ExclusivityGraph, OrthRep, bbc21, cli, independence_number, kcbs, loor, parse_graph,
+    parse_rep, serialize_graph, serialize_rep, verify_rep,
 )
-from util import gnp, random_unitary
+from util import gnp, random_unitary, report_cases
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -150,6 +150,25 @@ def test_extract_emits_a_rep_that_verifies(name, tmp_path, monkeypatch, capsys):
     assert verify_rep(parse_rep(out), parse_graph(graph_doc), tol=1e-8).passed
 
 
+REPORT_CASES = report_cases()
+
+
+@pytest.mark.parametrize("name", REPORT_CASES)
+def test_extract_of_a_reported_optimum_verifies_at_theta(name, tmp_path, monkeypatch, capsys):
+    # the solve once reported a point below its own lower end, and extract
+    # emitted that rep: value 4.9866 on the weighted K5, where theta is 5
+    g = REPORT_CASES[name]
+    theta_ref, _ = independence_number(g)
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(serialize_graph(g))
+    code, rep_doc, err = run_cli(["extract", str(graph_path)], capsys=capsys,
+                                 monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    code, out, _ = run_cli(["verify", "--graph", str(graph_path), "--target", repr(theta_ref)],
+                           stdin_text=rep_doc, capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 0 and json.loads(out)["passed"]
+
+
 @pytest.mark.parametrize("factor", [1e-22, 1e22])
 def test_extract_is_scale_free(factor, tmp_path, monkeypatch, capsys):
     # theta is 1-homogeneous in w, so tiny or huge weights are still valid input
@@ -176,7 +195,8 @@ def test_extract_refuses_its_own_output_when_it_fails_verify(tmp_path, monkeypat
 
 
 def test_extract_reports_an_unfactorable_optimum_as_a_failure(tmp_path, monkeypatch, capsys):
-    # an optimum that gram_factor refuses is a failure, not an input error
+    # an optimum that rep_from_gram refuses as not PSD is a failure, not an
+    # input error
     def refuse(*args, **kwargs):
         raise ValueError("matrix is not positive semidefinite: min eigenvalue -2.190e-06")
 
@@ -199,10 +219,10 @@ def _load_bench_corpus():
     return module
 
 
-def _graphs_gram_factor_refused_at_loose_tol():
+def _graphs_refused_as_not_psd_at_loose_tol():
     """The unit-weight 13-cycle, four graphs of the benchmark's sdp corpus
-    (seed 1) and G(40, .3), whose optima gram_factor refused at tol 1e-4
-    while it ignored the PSD residual the solve had accepted."""
+    (seed 1) and G(40, .3), whose optima the Gram factorization refused at
+    tol 1e-4 while it ignored the PSD residual the solve had accepted."""
     n = 13
     graphs = [("C13", ExclusivityGraph(n=n, weights=np.ones(n),
                                        edges=tuple((i, (i + 1) % n) for i in range(n))))]
@@ -211,7 +231,7 @@ def _graphs_gram_factor_refused_at_loose_tol():
     return graphs + [("G40", gnp(np.random.default_rng(0), 40, 0.3))]
 
 
-LOOSE_TOL_CASES = _graphs_gram_factor_refused_at_loose_tol()
+LOOSE_TOL_CASES = _graphs_refused_as_not_psd_at_loose_tol()
 
 
 @pytest.mark.parametrize("name, g", LOOSE_TOL_CASES, ids=[name for name, _ in LOOSE_TOL_CASES])

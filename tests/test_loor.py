@@ -214,9 +214,35 @@ def test_rep_from_gram_identity_over_n():
     g = ExclusivityGraph(n=3, weights=np.ones(3), edges=())
     rep = rep_from_gram(np.eye(3) / 3.0, g)
     assert rep.dim == 3
+    assert_allclose(rep.vectors @ rep.vectors.T, np.eye(3), atol=1e-12)
     overlaps = np.abs(rep.vectors @ rep.handle) ** 2
     assert_allclose(overlaps, np.full(3, 1.0 / 3.0), atol=1e-12)
     assert rep_value(rep, g) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_rep_from_gram_reproduces_a_random_psd_matrix():
+    # on an edgeless graph every unit-trace PSD X is feasible, and
+    # sqrt(X_ii X_jj) <v_i, v_j> gives X back.  X has rank r: its n - r
+    # zero eigenvalues are zeros of the construction, and on this seed
+    # every other one stands clear of the rank cutoff
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n = int(rng.integers(1, 31))
+        r = int(rng.integers(1, n + 1))
+        a = rng.standard_normal((n, r))
+        x = a @ a.T
+        x /= np.trace(x)
+        rep = rep_from_gram(x, ExclusivityGraph(n=n, weights=np.ones(n), edges=()))
+        assert rep.dim == r
+        root = np.sqrt(np.diag(x))
+        assert np.max(np.abs(np.outer(root, root) * (rep.vectors @ rep.vectors.T) - x)) <= 1e-10
+
+
+def test_rep_from_gram_rank_one_gives_one_dimension():
+    u = np.array([0.6, 0.48, 0.64])
+    rep = rep_from_gram(np.outer(u, u), ExclusivityGraph(n=3, weights=np.ones(3), edges=()))
+    assert rep.dim == 1
+    assert_allclose(rep.vectors[:, 0] * rep.handle[0], np.ones(3), atol=1e-12)
 
 
 def test_rep_from_gram_degenerate_vertex_gets_fresh_axis():
@@ -226,6 +252,24 @@ def test_rep_from_gram_degenerate_vertex_gets_fresh_axis():
     assert_allclose(np.linalg.norm(rep.vectors, axis=1), [1.0, 1.0], atol=1e-12)
     assert abs(rep.vectors[1] @ rep.handle) <= 1e-12
     assert abs(rep.vectors[0] @ rep.vectors[1]) <= 1e-12
+
+
+@pytest.mark.parametrize(("tol", "accepted"), [(None, False), (1e-4, True)],
+                         ids=["default", "1e-4"])
+def test_rep_from_gram_psd_floor_follows_tol(tol, accepted):
+    # unit trace, most negative eigenvalue -2e-6: below the default floor,
+    # above the floor of a solve at tol 1e-4, where the negative direction
+    # is cut and vertex 2 gets a fresh axis
+    g = ExclusivityGraph(n=3, weights=np.ones(3), edges=())
+    x = np.diag([0.5, 0.5 + 2e-6, -2e-6])
+    kwargs = {} if tol is None else {"tol": tol}
+    if accepted:
+        rep = rep_from_gram(x, g, **kwargs)
+        assert rep.dim == 3
+        assert rep.vectors[2] @ rep.handle == 0.0
+    else:
+        with pytest.raises(ValueError, match="not positive semidefinite: min eigenvalue -2.0"):
+            rep_from_gram(x, g, **kwargs)
 
 
 def test_rep_from_gram_rejects_infeasible():
@@ -252,10 +296,16 @@ def test_rep_from_gram_feasibility_follows_tol(tol, accepted):
     [
         (np.eye(4) / 4.0, {}, "expected a 5 x 5 matrix"),
         (np.zeros((5, 5)), {"tol": 2.0}, "numerical rank 0"),
+        (np.full((5, 5), np.nan), {}, "finite"),
+        (np.eye(5) / 5.0 + 0.1 * np.eye(5, k=2), {}, "symmetry"),
+        (np.eye(5) / 5.0, {"tol": 0.0}, "^tol must be"),
+        (np.eye(5) / 5.0, {"tol": -1.0}, "^tol must be"),
+        (np.eye(5) / 5.0, {"tol": float("inf")}, "^tol must be"),
         (np.eye(5) / 5.0, {"tol": float("nan")}, "^tol must be"),
         (np.eye(5) / 5.0, {"tol": True}, "^tol must be"),
     ],
-    ids=["wrong-shape", "rank-0", "nan-tol", "bool-tol"],
+    ids=["wrong-shape", "rank-0", "nan-x", "asymmetric", "zero-tol", "negative-tol",
+         "inf-tol", "nan-tol", "bool-tol"],
 )
 def test_rep_from_gram_refusals_name_the_cause(x, kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):

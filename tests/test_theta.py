@@ -13,7 +13,7 @@ from loorkit import (
     weight_objective,
 )
 from loorkit import theta
-from util import gnp, odd_cycle, odd_cycle_theta, random_graph
+from util import gnp, odd_cycle, odd_cycle_theta, random_graph, report_cases
 
 
 def weighted_gnp20():
@@ -28,6 +28,7 @@ def assert_certified(sol, tol):
     assert sol.converged
     assert sol.lower <= sol.upper
     assert sol.upper - sol.lower <= tol * sol.upper
+    assert sol.value >= sol.lower - tol * sol.upper
     assert sol.unmet(tol) == {}
 
 
@@ -224,10 +225,10 @@ def test_nonconvergence_is_reported_not_raised():
 @pytest.mark.parametrize("cap", [1, 2, 3, 7])
 @pytest.mark.parametrize("make", [kcbs, bbc21], ids=["kcbs", "bbc21"])
 def test_a_cap_between_checks_still_brackets_theta(make, cap):
-    # the cap forces a check off the CHECK_EVERY grid.  lower and upper are
-    # the best seen; X, value and the residuals come from the capped point,
-    # or from the last accepted point when the safeguard would reject the
-    # capped one, so the report never comes from a runaway extrapolation
+    # the cap forces a check off the CHECK_EVERY grid.  upper is the best
+    # seen; X, value, lower and the residuals come from the capped point, or
+    # from the last accepted point when the safeguard rejects the capped
+    # one, so the report never comes from a runaway extrapolation
     assert cap % theta.CHECK_EVERY
     inst = make()
     sol = lovasz_theta(inst.graph, max_iters=cap)
@@ -266,6 +267,22 @@ def test_residual_balancing_keeps_a_slow_solve_short():
     g = gnp(rng, n, p)
     assert (n, len(g.edges)) == (29, 201)
     assert_certified(lovasz_theta(g, tol=1e-8, max_iters=6_000), 1e-8)
+
+
+REPORT_CASES = report_cases()
+
+
+@pytest.mark.parametrize("name", REPORT_CASES)
+def test_the_reported_point_is_the_one_its_bracket_certifies(name):
+    # Each solve once met its lower end at a check on an extrapolation the
+    # safeguard rejected, kept that best-seen lower end, and then stopped
+    # on a point up to 0.8% below it.  Here theta equals alpha, the
+    # independent reference: alpha <= theta <= upper with upper at alpha.
+    g = REPORT_CASES[name]
+    theta_ref, _ = independence_number(g)
+    sol = lovasz_theta(g, tol=1e-8)
+    assert_certified(sol, 1e-8)
+    assert abs(sol.value - theta_ref) <= 1e-8 * sol.upper
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -35,6 +35,27 @@ def gnp(rng, n: int, p: float, weights=None) -> ExclusivityGraph:
     )
 
 
+def scan_graph(seed: int) -> ExclusivityGraph:
+    """G(n, p) with n in [4, 24] and p in [0.2, 0.95]; odd seeds draw
+    integer weights 1 to 8."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 25))
+    p = float(rng.uniform(0.2, 0.95))
+    g = gnp(rng, n, p)
+    if seed % 2:
+        return ExclusivityGraph(n, rng.integers(1, 9, size=n).astype(float), g.edges)
+    return g
+
+
+def report_cases() -> dict[str, ExclusivityGraph]:
+    """Graphs whose solve once stopped on a point below the lower end it
+    printed: K5 with weights 1 to 5, and two ``scan_graph`` draws.  Each
+    has theta = alpha (5, 21 and 16)."""
+    k5 = ExclusivityGraph(5, np.arange(1.0, 6.0),
+                          tuple((i, j) for i in range(5) for j in range(i + 1, 5)))
+    return {"K5-weighted": k5, "scan183": scan_graph(183), "scan243": scan_graph(243)}
+
+
 def random_unitary(rng, d: int, complex_field=True) -> np.ndarray:
     """Haar-ish random unitary (or orthogonal) via sign-fixed QR."""
     z = rng.standard_normal((d, d))
