@@ -220,24 +220,6 @@ def test_rep_from_gram_identity_over_n():
     assert rep_value(rep, g) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_rep_from_gram_reproduces_a_random_psd_matrix():
-    # on an edgeless graph every unit-trace PSD X is feasible, and
-    # sqrt(X_ii X_jj) <v_i, v_j> gives X back.  X has rank r: its n - r
-    # zero eigenvalues are zeros of the construction, and on this seed
-    # every other one stands clear of the rank cutoff
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        n = int(rng.integers(1, 31))
-        r = int(rng.integers(1, n + 1))
-        a = rng.standard_normal((n, r))
-        x = a @ a.T
-        x /= np.trace(x)
-        rep = rep_from_gram(x, ExclusivityGraph(n=n, weights=np.ones(n), edges=()))
-        assert rep.dim == r
-        root = np.sqrt(np.diag(x))
-        assert np.max(np.abs(np.outer(root, root) * (rep.vectors @ rep.vectors.T) - x)) <= 1e-10
-
-
 def test_rep_from_gram_rank_one_gives_one_dimension():
     u = np.array([0.6, 0.48, 0.64])
     rep = rep_from_gram(np.outer(u, u), ExclusivityGraph(n=3, weights=np.ones(3), edges=()))
