@@ -209,7 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theta", help="solve the Lovász-number SDP for a graph file")
     p.add_argument("graph_path", nargs="?", default="-")
-    p.add_argument("--field", choices=("real", "complex"), default="real")
+    p.add_argument("--field", choices=("real", "complex"), default="real",
+                   help="both values print the same report: the real solve "
+                        "answers the Hermitian program")
     _add_solver_opts(p)
     p.set_defaults(func=_cmd_theta)
 

@@ -281,7 +281,7 @@ def independence_number(g: ExclusivityGraph) -> tuple[float, tuple[int, ...]]:
 
     mask = (1 << n) - 1
     dfs(mask, 0.0)
-    goal = top - 1e-9 * max(1.0, abs(top))  # the floor: alpha up to roundoff
+    goal = top - 1e-9 * top  # the floor: alpha up to roundoff; top > 0
     acc, witness = 0.0, []
     for k in range(n):  # invariant: some independent set in mask reaches goal - acc
         b = label[k]

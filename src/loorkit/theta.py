@@ -1,13 +1,14 @@
-"""Weighted Lovász-number SDP, real and complex fields.
+"""Weighted Lovász-number SDP: one real solve answers both fields.
 
 The program solved is
 
     maximize    W . X      with  W_ij = sqrt(w_i w_j)
     subject to  trace(X) = 1,  X_ij = 0 on edges,  X PSD,
 
-over real symmetric X.  The real solve also answers the Hermitian program:
-W is real, so the real part of a Hermitian-feasible X is real-feasible with
-the same objective, and a real optimum is a Hermitian optimum.
+over real symmetric X.  The same solve answers the Hermitian program: W is
+real, so the real part of a Hermitian-feasible X is real-feasible with the
+same objective, and a real optimum is a Hermitian optimum.
+``lovasz_theta_complex`` is a second name for ``lovasz_theta``.
 
 The solver is a first-order operator splitting (ADMM / boundary-point
 style), written as a fixed-point map on t = x + u (u the scaled dual).
@@ -85,7 +86,6 @@ from .numerics import _check_tol, psd_part
 __all__ = [
     "ThetaSolution",
     "weight_objective",
-    "affine_project",
     "lovasz_theta",
     "lovasz_theta_complex",
 ]
@@ -150,29 +150,16 @@ def _affine_part(a: np.ndarray, edges: np.ndarray, diag: slice) -> np.ndarray:
     """Project a contiguous square ``a`` in place onto the affine constraints.
 
     ``edges`` are the flat indices of the edge entries (``_flat_edges``) and
-    ``diag`` the flat slice of the diagonal.  The solver's inner kernel;
-    ``affine_project`` is the checked entry point.
+    ``diag`` the flat slice of the diagonal.  Closed form: zero both
+    triangles on every edge, then shift the diagonal by (1 - trace)/n.  The
+    two constraint families act on disjoint entries, so the composition is
+    the exact affine projection.
     """
     flat = a.reshape(-1)
     flat[edges] = 0.0
     d = flat[diag]
-    d += (1.0 - float(d.sum().real)) / d.size
+    d += (1.0 - float(d.sum())) / d.size
     return a
-
-
-def affine_project(x, g: ExclusivityGraph) -> np.ndarray:
-    """Frobenius-nearest matrix with zero edge entries and unit trace.
-
-    Closed form: zero both triangles on every edge, then shift the diagonal
-    by (1 - trace)/n.  The two constraint families act on disjoint entries,
-    so the composition is the exact affine projection.  Complex input stays
-    complex: edges lose their real and imaginary parts, and the shift uses
-    the trace's real part, so Hermitian input gives Hermitian output.
-    """
-    a = np.array(x, dtype=complex if np.iscomplexobj(x) else float)
-    if a.ndim != 2 or a.shape != (g.n, g.n):
-        raise ValueError(f"expected a {g.n} x {g.n} matrix, got shape {a.shape}")
-    return _affine_part(a, _flat_edges(g), slice(None, None, g.n + 1))
 
 
 def lovasz_theta(
@@ -180,7 +167,8 @@ def lovasz_theta(
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> ThetaSolution:
-    """Solve the real weighted Lovász-number SDP.
+    """Solve the weighted Lovász-number SDP; the real optimum answers the
+    Hermitian program too.
 
     Deterministic for fixed (graph, tol, max_iters).  On non-convergence X,
     value, lower and the residuals are those of the last check, at
@@ -328,17 +316,5 @@ def lovasz_theta(
     )
 
 
-def lovasz_theta_complex(
-    g: ExclusivityGraph,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> ThetaSolution:
-    """Solve the Hermitian variant of the weighted Lovász-number SDP.
-
-    Re X of a Hermitian-feasible X is real-feasible with the same objective,
-    because W is real.  So the two programs have one optimum value, and the
-    real optimum with its certified bracket is a Hermitian optimum with a
-    valid bracket; it is returned with X as a complex array.
-    """
-    sol = lovasz_theta(g, tol, max_iters)
-    return dataclasses.replace(sol, X=sol.X.astype(complex))
+# a second name for the one solve, kept because bench/workloads.py reads it
+lovasz_theta_complex = lovasz_theta

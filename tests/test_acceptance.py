@@ -31,6 +31,7 @@ from util import (
     edge_residual,
     odd_cycle,
     odd_cycle_theta,
+    phase_rotated,
     random_complex_rep,
     random_graph,
 )
@@ -120,22 +121,37 @@ def test_criterion_05_operator_spectra():
 
 
 def test_criterion_06_field_equality():
+    # one real solve answers the Hermitian program: the real part of a
+    # Hermitian-feasible X is real-feasible with the same objective.  A
+    # phase-rotated optimum D X D^H is such a point, and the Gram matrix of
+    # the stored complex 21-ray rep is a Hermitian optimum that is not real.
     graphs = [kcbs().graph, odd_cycle(7), bbc21().graph]
     rng = np.random.default_rng(20)
     graphs += [random_graph(rng, n_max=10) for _ in range(20)]
-    worst = 0.0
-    all_converged = True
-    for g in graphs:
-        a = lovasz_theta(g, tol=1e-6)
-        b = lovasz_theta_complex(g, tol=1e-6)
-        all_converged &= a.converged and b.converged
-        worst = max(worst, abs(a.value - b.value))
+    sols = [lovasz_theta(g, tol=1e-6) for g in graphs]
+    all_converged = all(sol.converged for sol in sols)
+    real_parts_feasible = True
+    worst_excess = -np.inf  # Hermitian value above the real upper end
+    for g, sol in zip(graphs, sols):
+        xh = phase_rotated(sol.X, rng)
+        re = xh.real
+        real_parts_feasible &= (
+            abs(float(np.trace(re)) - 1.0) <= 1e-12
+            and all(re[i, j] == 0.0 for i, j in g.edges)
+            and np.linalg.eigvalsh(re)[0] >= -sol.psd_residual - 1e-14
+        )
+        worst_excess = max(worst_excess, float(np.sum(weight_objective(g) * xh).real) - sol.upper)
+    inst = bbc21()
+    xh = gram_from_rep(inst.complex_rep, inst.graph)
+    complex_gap = abs(complex(np.sum(weight_objective(inst.graph) * xh)) - sols[2].value)
     _report(
         6,
-        "real and complex solver values agree within 1e-4 on pentagon, 7-cycle, "
-        "21-ray, and 20 random graphs",
-        all_converged and worst <= 1e-4,
-        f"worst gap {worst:.2e}",
+        "one solve for both fields; the complex 21-ray optimum matches the real "
+        "value within 1e-4, and phase-rotated optima of pentagon, 7-cycle, "
+        "21-ray and 20 random graphs stay below the real upper end",
+        lovasz_theta_complex is lovasz_theta and all_converged and real_parts_feasible
+        and worst_excess <= 0.0 and complex_gap <= 1e-4,
+        f"complex gap {complex_gap:.2e}, worst excess {worst_excess:.2e}",
     )
 
 

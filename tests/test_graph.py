@@ -286,21 +286,44 @@ def test_independence_forced_vertex_ties(weights, edges, expected):
     assert independence_number(g) == expected
 
 
-@pytest.mark.parametrize(
-    "weights, edges, expected",
-    [
-        ([1, 1 + 1e-12], [(0, 1)], (1.0, (0,))),
-        ([1, 1 + 1e-6], [(0, 1)], (1.000001, (1,))),
-        ([0.5, 1 + 1e-12, 0.5], [(0, 1), (1, 2)], (1.0, (0, 2))),
-        ([0.5, 1 + 1e-6, 0.5], [(0, 1), (1, 2)], (1.000001, (1,))),
-    ],
-    ids=["edge-within", "edge-beyond", "path-within", "path-beyond"],
-)
+WITNESS_FLOOR_CASES = [
+    ([1, 1 + 1e-12], [(0, 1)], (1.0, (0,))),
+    ([1, 1 + 1e-6], [(0, 1)], (1.000001, (1,))),
+    ([0.5, 1 + 1e-12, 0.5], [(0, 1), (1, 2)], (1.0, (0, 2))),
+    ([0.5, 1 + 1e-6, 0.5], [(0, 1), (1, 2)], (1.000001, (1,))),
+    # the floor is relative: an absolute 1e-9 would count the centre alone
+    # as maximum and keep it, as the lexicographically first vertex
+    ([1e-10] * 4, [(0, 1), (0, 2), (0, 3)], (3e-10, (1, 2, 3))),
+]
+WITNESS_FLOOR_IDS = ["edge-within", "edge-beyond", "path-within", "path-beyond", "star-tiny"]
+# powers of two, so scaled weights and their sums stay exact
+SCALES = pytest.mark.parametrize("scale", [2.0**-40, 2.0**-34, 2.0**30],
+                                 ids=["2^-40", "2^-34", "2^30"])
+
+
+@pytest.mark.parametrize("weights, edges, expected", WITNESS_FLOOR_CASES, ids=WITNESS_FLOOR_IDS)
 def test_independence_witness_floor(weights, edges, expected):
     # a set within 1e-9 (relative) of alpha counts as maximum, so the
     # lexicographically smaller set wins; one 1e-6 lighter does not
     g = ExclusivityGraph(n=len(weights), weights=np.asarray(weights, float), edges=tuple(edges))
     assert independence_number(g) == expected
+
+
+@SCALES
+@pytest.mark.parametrize("weights, edges, expected", WITNESS_FLOOR_CASES, ids=WITNESS_FLOOR_IDS)
+def test_independence_witness_floor_is_relative_at_any_scale(weights, edges, expected, scale):
+    g = ExclusivityGraph(n=len(weights), weights=np.asarray(weights, float) * scale,
+                         edges=tuple(edges))
+    assert independence_number(g) == (expected[0] * scale, expected[1])
+
+
+@SCALES
+def test_independence_matches_brute_force_on_scaled_weights(scale):
+    rng = np.random.default_rng(13)
+    for _ in range(60):
+        g = random_graph(rng, n_max=10)
+        g = ExclusivityGraph(n=g.n, weights=g.weights * scale, edges=g.edges)
+        assert independence_number(g) == brute_force_independence(g)
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,8 @@ from numpy.testing import assert_allclose
 
 from loorkit import (
     ExclusivityGraph,
-    affine_project,
     bbc21,
+    gram_from_rep,
     independence_number,
     kcbs,
     lovasz_theta,
@@ -13,7 +13,7 @@ from loorkit import (
     weight_objective,
 )
 from loorkit import theta
-from util import gnp, odd_cycle, odd_cycle_theta, random_graph, report_cases
+from util import gnp, odd_cycle, odd_cycle_theta, phase_rotated, random_graph, report_cases
 
 
 def weighted_gnp20():
@@ -32,13 +32,29 @@ def assert_certified(sol, tol):
     assert sol.unmet(tol) == {}
 
 
-def assert_is_the_real_solve(cplx, real):
-    """The Hermitian solve is the real one bitwise, with X cast to complex."""
-    assert np.iscomplexobj(cplx.X) and not np.iscomplexobj(real.X)
-    assert np.array_equal(cplx.X, real.X.astype(complex))
-    for name in ("value", "lower", "upper", "primal_residual", "psd_residual",
-                 "iterations", "converged"):
-        assert getattr(cplx, name) == getattr(real, name), name
+def affine_project(x, g):
+    """The solver's affine projection, on a copy of ``x``."""
+    a = np.array(x, dtype=float)
+    return theta._affine_part(a, theta._flat_edges(g), slice(None, None, g.n + 1))
+
+
+def assert_hermitian_points_stay_in_the_bracket(sol, g, rng):
+    """Why one real solve answers the Hermitian program: D X D^H, for a
+    diagonal unitary D, is a Hermitian-feasible point, complex in general;
+    its real part is real-feasible with the same objective, so it stays
+    below the real solve's upper end."""
+    w_obj = weight_objective(g)
+    for _ in range(3):
+        xh = phase_rotated(sol.X, rng)
+        assert np.array_equal(xh, xh.conj().T)
+        re = xh.real
+        assert abs(float(np.trace(re)) - 1.0) <= 1e-12
+        assert all(re[i, j] == 0.0 for i, j in g.edges)
+        assert np.linalg.eigvalsh(re)[0] >= -sol.psd_residual - 1e-14
+        value = np.sum(w_obj * xh)
+        assert abs(value.real - np.sum(w_obj * re)) <= 1e-12 * g.weight_sum
+        assert abs(value.imag) <= 1e-12 * g.weight_sum
+        assert value.real <= sol.upper
 
 
 def check_solution_feasibility(sol, g, tol):
@@ -68,7 +84,6 @@ def test_edgeless_unit_weights():
 def test_single_vertex():
     g = ExclusivityGraph(n=1, weights=np.ones(1), edges=())
     assert abs(lovasz_theta(g).value - 1.0) <= 1e-8
-    assert abs(lovasz_theta_complex(g).value - 1.0) <= 1e-8
 
 
 def test_bbc_value_is_29():
@@ -79,29 +94,33 @@ def test_bbc_value_is_29():
 
 def test_complex_matches_real_on_pentagon():
     g = kcbs().graph
-    sol = lovasz_theta_complex(g, tol=1e-6)
+    sol = lovasz_theta(g, tol=1e-6)
     assert sol.converged
     assert abs(sol.value - np.sqrt(5.0)) <= 1e-5
-    assert np.iscomplexobj(sol.X)
-    assert np.max(np.abs(sol.X - sol.X.conj().T)) == 0.0
-    check_solution_feasibility(sol, g, 1e-6)
-    assert_is_the_real_solve(sol, lovasz_theta(g, tol=1e-6))
+    assert_hermitian_points_stay_in_the_bracket(sol, g, np.random.default_rng(6))
 
 
 def test_complex_bbc_value_is_29():
-    sol = lovasz_theta_complex(bbc21().graph, tol=1e-6)
-    assert sol.converged
-    assert abs(sol.value - 29.0) <= 1e-4
+    # the Gram matrix of the stored complex rep is a Hermitian optimum that
+    # is not real; it lies in the real solve's bracket
+    inst = bbc21()
+    sol = lovasz_theta(inst.graph, tol=1e-6)
+    xh = gram_from_rep(inst.complex_rep, inst.graph)
+    assert np.max(np.abs(xh.imag)) > 0.01
+    value = np.sum(weight_objective(inst.graph) * xh)
+    assert abs(value - 29.0) <= 1e-12
+    assert sol.lower <= value.real <= sol.upper
 
 
 def test_field_consistency_on_random_graphs():
+    # one solve answers both fields, so the complex name is the real solve
+    assert lovasz_theta_complex is lovasz_theta
     rng = np.random.default_rng(7)
     for _ in range(5):
         g = random_graph(rng, n_max=8)
-        a = lovasz_theta(g, tol=1e-6)
-        b = lovasz_theta_complex(g, tol=1e-6)
-        assert a.converged and b.converged
-        assert abs(a.value - b.value) <= 1e-5
+        sol = lovasz_theta(g, tol=1e-6)
+        assert sol.converged
+        assert_hermitian_points_stay_in_the_bracket(sol, g, rng)
 
 
 def test_affine_project_keeps_feasible_points():
@@ -139,37 +158,6 @@ def test_affine_project_matches_least_squares_oracle():
         assert np.max(np.abs(got - oracle.reshape(n, n))) <= 1e-10
         assert float(np.trace(got)) == pytest.approx(1.0, abs=1e-12)
         assert all(got[i, j] == 0.0 for i, j in g.edges)
-
-
-def test_affine_project_keeps_hermitian_input_hermitian():
-    rng = np.random.default_rng(11)
-    g = bbc21().graph
-    n = g.n
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    x = (z + z.conj().T) / 2
-    got = affine_project(x, g)
-    assert np.iscomplexobj(got)
-    assert np.array_equal(got, got.conj().T)
-    assert np.all(np.diagonal(got).imag == 0.0)
-    assert float(np.trace(got).real) == pytest.approx(1.0, abs=1e-12)
-    on_edge = np.zeros((n, n), dtype=bool)
-    for i, j in g.edges:
-        on_edge[i, j] = on_edge[j, i] = True
-        assert got[i, j].real == 0.0 and got[i, j].imag == 0.0
-    off_edge = ~on_edge
-    np.fill_diagonal(off_edge, False)
-    assert np.array_equal(got[off_edge], x[off_edge])
-    assert np.any(got[off_edge].imag != 0.0)
-
-
-@pytest.mark.parametrize("g", [bbc21().graph, odd_cycle(31)], ids=["bbc21", "C31"])
-def test_fields_follow_one_trajectory(g):
-    a = lovasz_theta(g)
-    b = lovasz_theta_complex(g)
-    assert a.converged and b.converged
-    assert a.iterations == b.iterations
-    assert abs(a.value - b.value) <= 1e-9
-    assert not np.iscomplexobj(a.X) and np.iscomplexobj(b.X)
 
 
 @pytest.mark.parametrize("n", [5, 7, 9])
@@ -219,7 +207,6 @@ def test_nonconvergence_is_reported_not_raised():
     assert sol.iterations == 300
     assert np.isfinite(sol.value)
     assert "relative gap" in sol.unmet(1e-16)
-    assert_is_the_real_solve(lovasz_theta_complex(kcbs().graph, tol=1e-16, max_iters=300), sol)
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 7])
@@ -344,11 +331,10 @@ def test_converged_brackets_meet_the_tolerance_on_random_graphs():
     rng = np.random.default_rng(12)
     for _ in range(10):
         g = random_graph(rng, n_max=10, dyadic_weights=False)
-        for solve in (lovasz_theta, lovasz_theta_complex):
-            sol = solve(g, tol=1e-7)
-            assert_certified(sol, 1e-7)
-            alpha, _ = independence_number(g)
-            assert alpha <= sol.upper
+        sol = lovasz_theta(g, tol=1e-7)
+        assert_certified(sol, 1e-7)
+        alpha, _ = independence_number(g)
+        assert alpha <= sol.upper
 
 
 def test_solves_are_deterministic():
@@ -367,5 +353,3 @@ def test_rejects_bad_arguments():
     for max_iters in (0, 2.5, True):
         with pytest.raises(ValueError, match="max_iters"):
             lovasz_theta(g, max_iters=max_iters)
-    with pytest.raises(ValueError):
-        affine_project(np.zeros((3, 3)), g)

@@ -66,6 +66,13 @@ def random_unitary(rng, d: int, complex_field=True) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
+def phase_rotated(x: np.ndarray, rng) -> np.ndarray:
+    """D X D^H for a random diagonal unitary D: Hermitian, complex in general,
+    with the trace, the zero entries and the spectrum of X."""
+    angle = 2.0 * np.pi * rng.random(len(x))
+    return x * np.exp(1j * (angle[:, None] - angle[None, :]))
+
+
 def random_complex_rep(rng, d: int, n: int) -> tuple[OrthRep, ExclusivityGraph]:
     """Random edge-orthogonal complex rep on the graph its vectors induce.
 
