@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -46,6 +47,64 @@ def _is_number(x) -> bool:
     return (_is_int(x) and abs(x) <= sys.float_info.max) or isinstance(x, (float, np.floating))
 
 
+# The bulk checks test the set of the entries' types, and pass a type only if
+# every value of it passes the per-entry test.  Python ints are unbounded, so
+# as numbers they fall back to that test, and as endpoints beyond int64 they
+# overflow the conversion and fall back.  The per-entry walk names the first
+# bad entry, or accepts.
+def _int_types(types) -> bool:
+    return all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in types)
+
+
+def _float_types(types) -> bool:
+    return all(issubclass(t, (float, np.floating, np.integer)) for t in types)
+
+
+def _walk_edges(pairs, n: int) -> list[tuple[int, int]]:
+    """The per-entry check: raise naming the first bad pair, else the int pairs."""
+    out = []
+    for k, pair in enumerate(pairs):
+        if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2
+                and _is_int(pair[0]) and _is_int(pair[1])):
+            raise ValueError(f"edges[{k}] must be a pair of integers, got {pair!r}")
+        i, j = int(pair[0]), int(pair[1])
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edges[{k}] = {pair!r} out of range for n={n}")
+        if i == j:
+            raise ValueError(f"edges[{k}] is a self-loop at vertex {i}")
+        out.append((i, j))
+    return out
+
+
+def _bulk_edges(pairs) -> np.ndarray | None:
+    """The pairs as an (m, 2) int array if their types pass in bulk, else None."""
+    if isinstance(pairs, np.ndarray):
+        ok = pairs.ndim == 2 and pairs.shape[1] == 2 and pairs.dtype.kind in "iu"
+        return pairs.astype(np.intp) if ok else None  # uint64 wraps below 0: out of range
+    try:
+        if not (all(issubclass(t, (tuple, list, np.ndarray)) for t in set(map(type, pairs)))
+                and set(map(len, pairs)) <= {2}
+                and _int_types(set(map(type, chain.from_iterable(pairs))))):
+            return None
+        return np.fromiter(chain.from_iterable(pairs), np.intp, 2 * len(pairs)).reshape(-1, 2)
+    except (TypeError, OverflowError):  # len() of a 0-d array; an int beyond int64
+        return None
+
+
+def _edge_index(edges, n: int) -> np.ndarray:
+    """Canonical, read-only (m, 2) intp index: rows i < j, ascending, no repeats."""
+    pairs = edges if isinstance(edges, (list, tuple, np.ndarray)) else list(edges)
+    e = _bulk_edges(pairs)
+    if e is None or (e.size and (e.min() < 0 or e.max() >= n or np.any(e[:, 0] == e[:, 1]))):
+        e = np.array(_walk_edges(pairs, n), dtype=np.intp).reshape(-1, 2)
+    key = np.minimum(e[:, 0], e[:, 1]) * n + np.maximum(e[:, 0], e[:, 1])  # n^2 fits intp
+    key.sort()
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))] if key.size else key
+    index = np.stack(np.divmod(key, n), axis=1)
+    index.setflags(write=False)
+    return index
+
+
 @dataclass(frozen=True, eq=False)
 class ExclusivityGraph:
     """Vertex-weighted undirected graph; one vertex per measurement event.
@@ -53,12 +112,17 @@ class ExclusivityGraph:
     Edges join mutually exclusive events.  The constructor validates input
     from any source (n a positive int, weights positive and finite with a
     finite sum, edges in-range int pairs without self-loops) and stores
-    edges canonically as sorted (i, j) pairs with i < j.
+    edges canonically as sorted (i, j) pairs with i < j.  It checks the
+    entries in bulk, by the set of their types and by vectorized range
+    tests, and walks them one by one only to name the first bad entry.
+    The canonical (m, 2) edge index is computed once, here, and is
+    read-only; ``edge_arrays`` returns its columns.
     """
 
     n: int
     weights: np.ndarray
     edges: tuple[tuple[int, int], ...]
+    _index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n
@@ -69,9 +133,10 @@ class ExclusivityGraph:
         if not (isinstance(w, np.ndarray) and w.dtype.kind in "iuf"):
             if not isinstance(w, (list, tuple, np.ndarray)) or len(w) != n:
                 raise ValueError(f"'weights' must be a list of {n} numbers")
-            for k, x in enumerate(w):  # per entry: asarray would take True as 1.0
-                if not _is_number(x):
-                    raise ValueError(f"weights[{k}] must be a real number, got {x!r}")
+            if not (isinstance(w, (list, tuple)) and _float_types(set(map(type, w)))):
+                for k, x in enumerate(w):  # per entry: asarray would take True as 1.0
+                    if not _is_number(x):
+                        raise ValueError(f"weights[{k}] must be a real number, got {x!r}")
         w = np.asarray(w, dtype=float)
         if w.shape != (n,):
             raise ValueError(f"'weights' must be a list of {n} numbers, got shape {w.shape}")
@@ -83,20 +148,11 @@ class ExclusivityGraph:
             math.fsum(w)
         except OverflowError:
             raise ValueError(f"'weights' must sum to at most {sys.float_info.max!r}") from None
-        canonical = set()
-        for k, pair in enumerate(self.edges):
-            if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2
-                    and _is_int(pair[0]) and _is_int(pair[1])):
-                raise ValueError(f"edges[{k}] must be a pair of integers, got {pair!r}")
-            i, j = int(pair[0]), int(pair[1])
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edges[{k}] = {pair!r} out of range for n={n}")
-            if i == j:
-                raise ValueError(f"edges[{k}] is a self-loop at vertex {i}")
-            canonical.add((i, j) if i < j else (j, i))
+        index = _edge_index(self.edges, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "edges", tuple(sorted(canonical)))
+        object.__setattr__(self, "edges", tuple(zip(*index.T.tolist())))
+        object.__setattr__(self, "_index", index)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExclusivityGraph):
@@ -119,12 +175,8 @@ class ExclusivityGraph:
         return adj
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge endpoints as two index arrays (empty for edgeless graphs)."""
-        if not self.edges:
-            empty = np.zeros(0, dtype=np.intp)
-            return empty, empty
-        e = np.asarray(self.edges, dtype=np.intp)
-        return e[:, 0], e[:, 1]
+        """Edge endpoints as two read-only index arrays (empty for edgeless graphs)."""
+        return self._index[:, 0], self._index[:, 1]
 
 
 def _load_document(text: str, name: str, fields: tuple[str, ...], error: type[ValueError]) -> dict:
@@ -157,11 +209,7 @@ def parse_graph(text: str) -> ExclusivityGraph:
 
 def serialize_graph(g: ExclusivityGraph, indent: int | None = None) -> str:
     """Canonical JSON document; parse_graph(serialize_graph(g)) == g."""
-    doc = {
-        "n": g.n,
-        "weights": [float(w) for w in g.weights],
-        "edges": [[int(i), int(j)] for i, j in g.edges],
-    }
+    doc = {"n": g.n, "weights": g.weights.tolist(), "edges": g._index.tolist()}
     return json.dumps(doc, indent=indent)
 
 
@@ -185,9 +233,7 @@ def orthogonality_graph(vectors, weights=None, tol: float = ORTHO_TOL) -> Exclus
     if weights is None:
         weights = np.ones(n)
     overlaps = np.abs(v.conj() @ v.T)
-    iu, ju = np.triu_indices(n, k=1)
-    mask = overlaps[iu, ju] <= tol
-    edges = tuple(zip(iu[mask].tolist(), ju[mask].tolist()))
+    edges = np.argwhere(np.triu(overlaps <= tol, 1))
     return ExclusivityGraph(n=n, weights=weights, edges=edges)
 
 

@@ -17,10 +17,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .graph import ExclusivityGraph, _is_int, _is_number, _load_document, max_edge_overlap
+from .graph import (ExclusivityGraph, _float_types, _is_int, _is_number, _load_document,
+                    max_edge_overlap)
 from .numerics import UNIT_TOL, _check_tol, _checked_hermitian, _norm_deviation, hermitize
 
 __all__ = [
@@ -58,6 +60,28 @@ def _max_norm_deviation(handle: np.ndarray, vectors: np.ndarray) -> float:
     return float(np.max(np.concatenate(([_norm_deviation(handle)], _norm_deviation(vectors)))))
 
 
+def _check_entries(x, a: np.ndarray, name: str, is_complex: bool) -> None:
+    """Refuse entries of ``x`` (read as ``a``) that are not numbers, and complex
+    entries outside the complex field.  An ndarray of a numeric kind passes
+    at once; other input is checked by the set of its entries' types, and
+    walked entry by entry to name the first bad one, since asarray would
+    read True as 1.0 and "1.0" as 1.0."""
+    kinds = "iufc" if is_complex else "iuf"
+    if isinstance(x, np.ndarray) and x.dtype.kind in kinds:
+        return
+    rows = [x] if a.ndim == 1 else x
+    extra = (complex, np.complexfloating) if is_complex else ()
+    types = set(map(type, chain.from_iterable(rows)))
+    if _float_types(t for t in types if not issubclass(t, extra)):
+        return
+    for i, row in enumerate(rows):
+        for k, s in enumerate(row):
+            if not (_is_number(s) or isinstance(s, extra)):
+                where = f"{name}[{k}]" if a.ndim == 1 else f"{name}[{i}][{k}]"
+                number = "number" if is_complex else "real number"
+                raise ValueError(f"{where} must be a {number}, got {s!r}")
+
+
 @dataclass
 class OrthRep:
     """A handle vector plus one unit vector per graph vertex.
@@ -78,12 +102,16 @@ class OrthRep:
         if not _is_int(self.dim) or self.dim < 1:
             raise ValueError(f"'dim' must be a positive integer, got {self.dim!r}")
         dim = int(self.dim)
-        handle = np.asarray(self.handle, dtype=dtype)
-        vectors = np.asarray(self.vectors, dtype=dtype)
+        handle = np.asarray(self.handle)
+        vectors = np.asarray(self.vectors)
         if handle.shape != (dim,):
             raise ValueError(f"'handle' must have length {dim}, got shape {handle.shape}")
         if vectors.ndim != 2 or vectors.shape[1] != dim:
             raise ValueError(f"'vectors' must have shape (n, {dim}), got {vectors.shape}")
+        _check_entries(self.handle, handle, "handle", dtype is complex)
+        _check_entries(self.vectors, vectors, "vectors", dtype is complex)
+        handle = np.asarray(handle, dtype=dtype)
+        vectors = np.asarray(vectors, dtype=dtype)
         if not (np.all(np.isfinite(handle)) and np.all(np.isfinite(vectors))):
             raise ValueError("representation contains non-finite entries")
         worst = _max_norm_deviation(handle, vectors)
@@ -111,25 +139,39 @@ class VerificationReport:
     sic: bool | None = None
 
 
-def _scalar_to_json(x, is_complex: bool):
-    return [float(x.real), float(x.imag)] if is_complex else float(x)
+def _scalars_from_json(x, is_complex: bool, where: str, length: int | None = None) -> None:
+    """Check a JSON list of numbers, or of [re, im] pairs for a complex field.
 
-
-def _scalars_from_json(x, is_complex: bool, where: str, length: int | None = None) -> list:
-    """Decode a JSON list of numbers, or of [re, im] pairs for a complex field.
-
-    A vector row passes the handle's ``length``.
+    A vector row passes the handle's ``length``.  The entries are checked
+    by the set of their types, and walked one by one only to name the
+    first bad entry (or to accept JSON integers, which are unbounded).
     """
     if not isinstance(x, list):
         raise ValueError(f"{where} must be a list of scalars, got {type(x).__name__}")
     if length is not None and len(x) != length:
         raise ValueError(f"{where} has {len(x)} entries but 'handle' has {length}")
+    if is_complex:
+        if (all(issubclass(t, list) for t in set(map(type, x))) and set(map(len, x)) <= {2}
+                and _float_types(set(map(type, chain.from_iterable(x))))):
+            return
+    elif _float_types(set(map(type, x))):
+        return
     kind = "a [re, im] pair" if is_complex else "a number"
     for k, s in enumerate(x):
         if not (isinstance(s, list) and len(s) == 2 and all(map(_is_number, s))
                 if is_complex else _is_number(s)):
             raise ValueError(f"{where}[{k}] must be {kind}, got {s!r}")
-    return [complex(*s) for s in x] if is_complex else [float(s) for s in x]
+
+
+def _json_array(x, is_complex: bool, shape: tuple[int, ...]) -> np.ndarray:
+    """Checked JSON scalars as an array of ``shape``; a [re, im] pair is one entry."""
+    a = np.array(x, dtype=float)
+    return a.reshape(shape + (2,)).view(complex).reshape(shape) if is_complex else a.reshape(shape)
+
+
+def _json_scalars(a: np.ndarray, is_complex: bool) -> list:
+    """An array's entries as JSON scalars: floats, or [re, im] pairs."""
+    return (np.stack((a.real, a.imag), axis=-1) if is_complex else a).tolist()
 
 
 def parse_rep(text: str) -> OrthRep:
@@ -137,14 +179,15 @@ def parse_rep(text: str) -> OrthRep:
     doc = _load_document(text, "representation", ("field", "dim", "handle", "vectors"),
                          RepFormatError)
     try:
-        dtype = _field_dtype(doc["field"])
-        handle = _scalars_from_json(doc["handle"], dtype is complex, "handle")
-        if not isinstance(doc["vectors"], list):
+        is_complex = _field_dtype(doc["field"]) is complex
+        handle, rows = doc["handle"], doc["vectors"]
+        _scalars_from_json(handle, is_complex, "handle")
+        if not isinstance(rows, list):
             raise ValueError("'vectors' must be a list of vectors")
-        rows = [_scalars_from_json(row, dtype is complex, f"vectors[{i}]", len(handle))
-                for i, row in enumerate(doc["vectors"])]
-        return OrthRep(doc["field"], doc["dim"], np.array(handle, dtype=dtype),
-                       np.array(rows, dtype=dtype).reshape(len(rows), len(handle)))
+        for i, row in enumerate(rows):
+            _scalars_from_json(row, is_complex, f"vectors[{i}]", len(handle))
+        return OrthRep(doc["field"], doc["dim"], _json_array(handle, is_complex, (len(handle),)),
+                       _json_array(rows, is_complex, (len(rows), len(handle))))
     except ValueError as exc:
         raise RepFormatError(str(exc)) from exc
 
@@ -154,8 +197,8 @@ def serialize_rep(rep: OrthRep, indent: int | None = None) -> str:
     doc = {
         "field": rep.field,
         "dim": rep.dim,
-        "handle": [_scalar_to_json(x, is_complex) for x in rep.handle],
-        "vectors": [[_scalar_to_json(x, is_complex) for x in row] for row in rep.vectors],
+        "handle": _json_scalars(rep.handle, is_complex),
+        "vectors": _json_scalars(rep.vectors, is_complex),
     }
     return json.dumps(doc, indent=indent)
 

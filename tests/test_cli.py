@@ -466,6 +466,42 @@ def test_python_dash_m_matches_main(monkeypatch, capsys):
     assert (proc.returncode, proc.stdout) == (code, out)
 
 
+PIPELINE_WITHOUT_NUMPY_MA = """
+import sys
+from pathlib import Path
+from loorkit.cli import main
+
+d = Path(sys.argv[1])
+weights = ",".join(["3"] * 9 + ["5"] * 12)
+stages = [
+    ["instance", "bbc21", "--what", "graph", "--output", str(d / "bbc.json")],
+    ["theta", str(d / "bbc.json"), "--tol", "1e-6", "--output", str(d / "theta.json")],
+    ["alpha", str(d / "bbc.json"), "--output", str(d / "alpha.json")],
+    ["extract", str(d / "bbc.json"), "--output", str(d / "rep.json")],
+    ["verify", str(d / "rep.json"), "--graph", str(d / "bbc.json"), "--output", str(d / "v.json")],
+    ["instance", "bbc21", "--what", "rep-complex", "--output", str(d / "rc.json")],
+    ["realify", str(d / "rc.json"), "--method", "vector", "--output", str(d / "rv.json")],
+    ["realify", str(d / "rc.json"), "--method", "projector", "--output", str(d / "rp.json")],
+    ["verify", str(d / "rv.json"), "--graph", str(d / "bbc.json"), "--target", "29", "--sic",
+     "--output", str(d / "vs.json")],
+    ["orthograph", str(d / "rc.json"), "--weights", weights, "--output", str(d / "og.json")],
+]
+codes = [main(args) for args in stages]
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_pipeline_stages_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma is a lazy import (np.unique pulls it in) that every CLI
+    # process would pay for at start-up
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", PIPELINE_WITHOUT_NUMPY_MA, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == f"{[0] * 10} False"
+
+
 def test_run_config_validates(capsys):
     # the run configuration is checked as the flags are parsed, before any command runs
     parser = cli.build_parser()

@@ -97,14 +97,35 @@ def test_parse_errors_name_the_field(doc, fragment):
         (lambda: ExclusivityGraph(3, np.ones(2), ()),
          r"'weights' must be a list of 3 numbers, got shape \(2,\)"),
         (lambda: OrthRep("real", 2, [1, 0], np.ones((1, 3))), r"'vectors' must have shape \(n, 2\)"),
+        (lambda: OrthRep("real", 1, ["1.0"], [["1.0"]]),
+         r"handle\[0\] must be a real number, got '1.0'"),
+        (lambda: OrthRep("real", 1, [True], [[1.0]]), r"handle\[0\] must be a real number, got True"),
+        (lambda: OrthRep("real", 1, [1.0], [[1.0], [np.bool_(True)]]),
+         r"vectors\[1\]\[0\] must be a real number"),
+        (lambda: OrthRep("real", 1, np.array([1 + 1e-5j]), [[1.0]]),
+         r"handle\[0\] must be a real number"),
+        (lambda: OrthRep("real", 1, [1.0], [[1 + 0j]]), r"vectors\[0\]\[0\] must be a real number"),
+        (lambda: OrthRep("complex", 1, np.array([True]), [[1j]]), r"handle\[0\] must be a number"),
     ],
-    ids=["float-endpoint", "bool-n", "bool-weights", "bool-dim", "weights-shape", "vectors-shape"],
+    ids=["float-endpoint", "bool-n", "bool-weights", "bool-dim", "weights-shape", "vectors-shape",
+         "string-entries", "bool-handle", "numpy-bool-vector", "complex-array-in-real",
+         "complex-list-in-real", "bool-array-in-complex"],
 )
 def test_constructors_reject_bad_fields(make, fragment):
     # the constructors are the validators, so library callers get the same
     # field-naming errors as documents read by the parsers
     with pytest.raises(ValueError, match=fragment):
         make()
+
+
+def test_orthrep_accepts_numbers_of_every_numeric_type():
+    rep = OrthRep("real", 2, [1, 0], [[0, np.int64(1)], (np.float32(1), 0.0)])
+    assert rep.handle.dtype == rep.vectors.dtype == np.float64
+    assert np.array_equal(rep.vectors, [[0.0, 1.0], [1.0, 0.0]])
+    rep = OrthRep("complex", 1, [1j], [[1], [np.complex64(1j)], [np.float16(-1)]])
+    assert rep.vectors.dtype == np.complex128 and rep.vectors[1, 0] == 1j
+    rep = OrthRep("real", 1, np.array([1], dtype=np.int8), np.ones((1, 1), dtype=np.float16))
+    assert rep.handle.dtype == np.float64
 
 
 def test_graph_is_never_equal_to_a_non_graph():

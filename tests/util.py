@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -203,3 +204,66 @@ def odd_cycle_theta(n: int) -> float:
     """Closed-form optimum for an odd cycle, evaluated independently."""
     c = math.cos(math.pi / n)
     return n * c / (1.0 + c)
+
+
+# Per-entry validators of the constructors and of the representation parser,
+# as they stood before the checks ran in bulk: the oracle that the bulk
+# checks must match in what they accept, what they store and every message.
+
+def _oracle_is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _oracle_is_number(x) -> bool:
+    return ((_oracle_is_int(x) and abs(x) <= sys.float_info.max)
+            or isinstance(x, (float, np.floating)))
+
+
+def oracle_graph(n, w, edges) -> tuple[int, np.ndarray, tuple[tuple[int, int], ...]]:
+    """(n, weights, edges) as the constructor stores them, or the ValueError it raises."""
+    if not _oracle_is_int(n) or n < 1:
+        raise ValueError(f"'n' must be a positive integer, got {n!r}")
+    n = int(n)
+    if not (isinstance(w, np.ndarray) and w.dtype.kind in "iuf"):
+        if not isinstance(w, (list, tuple, np.ndarray)) or len(w) != n:
+            raise ValueError(f"'weights' must be a list of {n} numbers")
+        for k, x in enumerate(w):
+            if not _oracle_is_number(x):
+                raise ValueError(f"weights[{k}] must be a real number, got {x!r}")
+    w = np.asarray(w, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"'weights' must be a list of {n} numbers, got shape {w.shape}")
+    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"weights[{k}] must be positive and finite, got {float(w[k])!r}")
+    try:
+        math.fsum(w)
+    except OverflowError:
+        raise ValueError(f"'weights' must sum to at most {sys.float_info.max!r}") from None
+    canonical = set()
+    for k, pair in enumerate(edges):
+        if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2
+                and _oracle_is_int(pair[0]) and _oracle_is_int(pair[1])):
+            raise ValueError(f"edges[{k}] must be a pair of integers, got {pair!r}")
+        i, j = int(pair[0]), int(pair[1])
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edges[{k}] = {pair!r} out of range for n={n}")
+        if i == j:
+            raise ValueError(f"edges[{k}] is a self-loop at vertex {i}")
+        canonical.add((i, j) if i < j else (j, i))
+    return n, w, tuple(sorted(canonical))
+
+
+def oracle_scalars(x, is_complex: bool, where: str, length: int | None = None) -> list:
+    """A JSON list of numbers, or of [re, im] pairs, decoded; or the ValueError."""
+    if not isinstance(x, list):
+        raise ValueError(f"{where} must be a list of scalars, got {type(x).__name__}")
+    if length is not None and len(x) != length:
+        raise ValueError(f"{where} has {len(x)} entries but 'handle' has {length}")
+    kind = "a [re, im] pair" if is_complex else "a number"
+    for k, s in enumerate(x):
+        if not (isinstance(s, list) and len(s) == 2 and all(map(_oracle_is_number, s))
+                if is_complex else _oracle_is_number(s)):
+            raise ValueError(f"{where}[{k}] must be {kind}, got {s!r}")
+    return [complex(*s) for s in x] if is_complex else [float(s) for s in x]
