@@ -116,7 +116,8 @@ class ExclusivityGraph:
     entries in bulk, by the set of their types and by vectorized range
     tests, and walks them one by one only to name the first bad entry.
     The canonical (m, 2) edge index is computed once, here, and is
-    read-only; ``edge_arrays`` returns its columns.
+    read-only; ``edge_arrays`` returns its columns.  ``weights`` is a
+    read-only copy, so a checked graph stays checked.
     """
 
     n: int
@@ -137,7 +138,7 @@ class ExclusivityGraph:
                 for k, x in enumerate(w):  # per entry: asarray would take True as 1.0
                     if not _is_number(x):
                         raise ValueError(f"weights[{k}] must be a real number, got {x!r}")
-        w = np.asarray(w, dtype=float)
+        w = np.array(w, dtype=float)  # a copy: the caller's array stays theirs
         if w.shape != (n,):
             raise ValueError(f"'weights' must be a list of {n} numbers, got shape {w.shape}")
         bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
@@ -148,6 +149,7 @@ class ExclusivityGraph:
             math.fsum(w)
         except OverflowError:
             raise ValueError(f"'weights' must sum to at most {sys.float_info.max!r}") from None
+        w.flags.writeable = False
         index = _edge_index(self.edges, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "weights", w)

@@ -60,6 +60,15 @@ def _max_norm_deviation(handle: np.ndarray, vectors: np.ndarray) -> float:
     return float(np.max(np.concatenate(([_norm_deviation(handle)], _norm_deviation(vectors)))))
 
 
+def _rectangular(x, name: str, shape: str) -> np.ndarray:
+    """``np.asarray(x)``, refusing ragged nesting with a message that names
+    the field and the ``shape`` it must have."""
+    try:
+        return np.asarray(x)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ValueError(f"'{name}' must have {shape}, got ragged rows") from None
+
+
 def _check_entries(x, a: np.ndarray, name: str, is_complex: bool) -> None:
     """Refuse entries of ``x`` (read as ``a``) that are not numbers, and complex
     entries outside the complex field.  An ndarray of a numeric kind passes
@@ -102,8 +111,8 @@ class OrthRep:
         if not _is_int(self.dim) or self.dim < 1:
             raise ValueError(f"'dim' must be a positive integer, got {self.dim!r}")
         dim = int(self.dim)
-        handle = np.asarray(self.handle)
-        vectors = np.asarray(self.vectors)
+        handle = _rectangular(self.handle, "handle", f"length {dim}")
+        vectors = _rectangular(self.vectors, "vectors", f"shape (n, {dim})")
         if handle.shape != (dim,):
             raise ValueError(f"'handle' must have length {dim}, got shape {handle.shape}")
         if vectors.ndim != 2 or vectors.shape[1] != dim:

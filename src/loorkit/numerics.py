@@ -73,13 +73,22 @@ def psd_part(m: np.ndarray) -> np.ndarray:
     one triangle only and sorts the eigenvalues ascending, so the positive
     ones are a suffix.  The result is bitwise symmetric (Hermitian).  This is
     the solver's inner kernel.
+
+    A real matrix is recomposed as B B^T with B = V sqrt(lambda) over the
+    kept pairs.  numpy hands a product of an array with its own transpose
+    to BLAS syrk, which computes one triangle and mirrors it, so the result
+    is bitwise symmetric without a symmetrizing pass.  A Hermitian matrix is
+    recomposed by a general product and symmetrized.
     """
     values, vectors = np.linalg.eigh(m)
     first = int(np.searchsorted(values, 0.0, side="right"))
     if first == values.size:
         return np.zeros_like(m)
+    if not np.iscomplexobj(vectors):
+        b = vectors[:, first:] * np.sqrt(values[first:])
+        return b @ b.T
     # copy the kept columns column-major: the operand layout selects the
-    # BLAS kernel, and so the product's last bits and the solver's path
+    # BLAS kernel, and so the product's last bits
     vp = np.asfortranarray(vectors[:, first:])
     p = (vp * values[first:]) @ vp.conj().T
     return (p + p.conj().T) / 2.0

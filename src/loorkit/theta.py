@@ -62,21 +62,34 @@ accepted point when the safeguard rejects the one just evaluated:
 Both bounds hold at any point, so acceleration changes which points are
 visited, never what a bracket certifies.
 
+The solve has converged when the primal residual and the PSD residual are
+at most tol and the relative gap (upper - lower) / upper is at most tol.
+A check is staged, cheapest first, and stops at the first stage whose
+criterion it misses:
+
+1. the primal residual of the PSD iterate (a trace and a max over the
+   edge entries);
+2. the affine projection X, its PSD residual p (one eigvalsh) and lower;
+3. upper (one eigvalsh of the dual matrix), then the relative gap.
+
+So most checks early in a solve cost no eigenvalue problem.  The forced
+check at the iteration cap runs every stage, so a capped report is
+complete.
+
 Each end is widened by n eps sum(w) to cover the roundoff in computing
 it, so lower <= upper holds in floating point too.  upper is the best
-seen; lower is the bound the reported X certifies, so a small gap means
-that X is near optimal.  The solve has converged when the primal residual
-and the PSD residual are at most tol and the relative gap
-(upper - lower) / upper is at most tol.  Reported values are those of the
-last check, evaluated at its feasibility-projected PSD iterate, so a
-returned solution is affine-feasible up to roundoff and PSD up to the
-reported residual p; its value is not a bound and may exceed theta by up
-to n p sum(w).  The iteration cap forces a last check.
+over the checks that reached stage 3; lower is the bound the reported X
+certifies, so a small gap means that X is near optimal.  Reported values
+are those of the last check, which ran every stage, evaluated at its
+feasibility-projected PSD iterate, so a returned solution is
+affine-feasible up to roundoff and PSD up to the reported residual p; its
+value is not a bound and may exceed theta by up to n p sum(w).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -196,15 +209,18 @@ def lovasz_theta(
     roundoff = n * np.finfo(float).eps * scale
 
     # Anderson state: the last accepted point with its PSD part, its image
-    # g = T(t) = t + f, its step f and the step's norm; ring buffers of the
-    # differences of accepted images and of accepted steps (row ``slot`` is
-    # written next, the first ``count`` rows are filled), and the Gram
-    # matrix of the step differences, one row and column updated per append
+    # g = T(t) = t + f, its step f (flat) and the step's norm; ring buffers
+    # of the differences of accepted images and of accepted steps (row
+    # ``slot`` is written next, the first ``count`` rows are filled), and
+    # the Gram matrix of the step differences with a copy of its diagonal,
+    # one row, column and diagonal entry updated per append
     anchor = anchor_z = anchor_image = step = None
     step_norm = np.inf
     dgs = np.empty((ANDERSON_MEMORY, n * n))
     dfs = np.empty((ANDERSON_MEMORY, n * n))
     gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
+    gram_diag = np.empty(ANDERSON_MEMORY)
+    eye = np.eye(ANDERSON_MEMORY)
     count = slot = 0
     extrapolated = False
     affine = np.empty((n, n))  # 2z - t + W/(2 rho), projected in place
@@ -232,29 +248,35 @@ def lovasz_theta(
         affine -= t
         affine += linear
         f = _affine_part(affine, edges, diag) - z  # T(t) - t
-        f_norm = float(np.linalg.norm(f))
+        f_flat = f.ravel()
+        f_norm = math.sqrt(f_flat @ f_flat)
         # the safeguard's test: the extrapolated point did worse than the
         # point it came from
         rejected = extrapolated and f_norm > step_norm
 
-        if iterations % CHECK_EVERY == 0 or iterations == max_iters:
+        last = iterations == max_iters
+        if iterations % CHECK_EVERY == 0 or last:
+            # staged, cheapest first; a stage runs only if the criteria
+            # before it are met, or at the forced last check
             at, az = t, z
             if rejected:
                 # a report must not come from a point the safeguard rejects:
                 # read the last accepted one
                 at, az = anchor, anchor_z
-            primal = abs(float(np.trace(az)) - 1.0)
+            primal = abs(float(az.trace()) - 1.0)
             if edges.size:
                 primal = max(primal, float(np.max(np.abs(az.flat[edges]))))
-            x_report = _affine_part(az.copy(), edges, diag)
-            psd_resid = max(0.0, -float(np.linalg.eigvalsh(x_report)[0]))
-            value = scale * float(np.sum(w_obj * x_report))
-            lower = (value + psd_resid * scale) / (1.0 + n * psd_resid) - roundoff
-            dual.flat[edges] = 2.0 * rho * (at.flat[edges] - az.flat[edges])
-            upper = min(upper, scale * float(np.linalg.eigvalsh(dual)[-1]) + roundoff)
-            if not _unmet(primal, psd_resid, lower, upper, tol):
-                converged = True
-                break
+            if primal <= tol or last:
+                x_report = _affine_part(az.copy(), edges, diag)
+                psd_resid = max(0.0, -float(np.linalg.eigvalsh(x_report)[0]))
+                value = scale * float(np.sum(w_obj * x_report))
+                lower = (value + psd_resid * scale) / (1.0 + n * psd_resid) - roundoff
+                if psd_resid <= tol or last:
+                    dual.flat[edges] = 2.0 * rho * (at.flat[edges] - az.flat[edges])
+                    upper = min(upper, scale * float(np.linalg.eigvalsh(dual)[-1]) + roundoff)
+                    if not _unmet(primal, psd_resid, lower, upper, tol):
+                        converged = True
+                        break
 
         if iterations % BALANCE_EVERY == 0:
             # residual balancing on the splitting gap; a new rho is a new
@@ -286,21 +308,22 @@ def lovasz_theta(
         image = t + f
         if anchor is not None:
             np.subtract(image.ravel(), anchor_image.ravel(), out=dgs[slot])
-            np.subtract(f.ravel(), step.ravel(), out=dfs[slot])
+            np.subtract(f_flat, step, out=dfs[slot])
             count = min(count + 1, ANDERSON_MEMORY)
             row = dfs[:count] @ dfs[slot]
             gram[slot, :count] = row
             gram[:count, slot] = row
+            gram_diag[slot] = row[slot]
             slot = (slot + 1) % ANDERSON_MEMORY
-        anchor, anchor_z, anchor_image, step, step_norm = t, z, image, f, f_norm
+        anchor, anchor_z, anchor_image, step, step_norm = t, z, image, f_flat, f_norm
         t = image
         extrapolated = False
         if count:
-            normal = gram[:count, :count].copy()
-            reg = ANDERSON_REG * float(np.trace(normal))
+            # the normal matrix's trace, summed in np.trace's order
+            reg = ANDERSON_REG * float(gram_diag[:count].sum())
             if reg > 0.0:
-                normal.flat[:: count + 1] += reg
-                gamma = np.linalg.solve(normal, dfs[:count] @ f.ravel())
+                normal = gram[:count, :count] + reg * eye[:count, :count]
+                gamma = np.linalg.solve(normal, dfs[:count] @ f_flat)
                 t = image - (gamma @ dgs[:count]).reshape(n, n)
                 extrapolated = True
 

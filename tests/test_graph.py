@@ -106,16 +106,33 @@ def test_parse_errors_name_the_field(doc, fragment):
          r"handle\[0\] must be a real number"),
         (lambda: OrthRep("real", 1, [1.0], [[1 + 0j]]), r"vectors\[0\]\[0\] must be a real number"),
         (lambda: OrthRep("complex", 1, np.array([True]), [[1j]]), r"handle\[0\] must be a number"),
+        (lambda: OrthRep("real", 2, [1, 0], [[1, 0], [1]]),
+         r"'vectors' must have shape \(n, 2\), got ragged rows"),
+        (lambda: OrthRep("real", 2, [1, [0]], [[1, 0]]), r"'handle' must have length 2, got ragged rows"),
     ],
     ids=["float-endpoint", "bool-n", "bool-weights", "bool-dim", "weights-shape", "vectors-shape",
          "string-entries", "bool-handle", "numpy-bool-vector", "complex-array-in-real",
-         "complex-list-in-real", "bool-array-in-complex"],
+         "complex-list-in-real", "bool-array-in-complex", "ragged-vectors", "ragged-handle"],
 )
 def test_constructors_reject_bad_fields(make, fragment):
     # the constructors are the validators, so library callers get the same
     # field-naming errors as documents read by the parsers
     with pytest.raises(ValueError, match=fragment):
         make()
+
+
+def test_graph_weights_are_a_read_only_copy():
+    # a checked graph stays checked: a negative weight written after
+    # construction would reach alpha and make serialize_graph write a
+    # document parse_graph refuses
+    w = np.array([1.0, 2.0])
+    g = ExclusivityGraph(2, w, [(0, 1)])
+    with pytest.raises(ValueError, match="read-only"):
+        g.weights[0] = -5.0
+    w[0] = 3.0  # the caller's array stays writeable, and stays theirs
+    assert np.array_equal(g.weights, [1.0, 2.0])
+    assert independence_number(g) == (2.0, (1,))
+    assert parse_graph(serialize_graph(g)) == g
 
 
 def test_orthrep_accepts_numbers_of_every_numeric_type():

@@ -76,9 +76,10 @@ def test_psd_part_drops_a_zero_eigenvalue():
 @pytest.mark.parametrize("n, hermitian, shift", [(7, False, 0.0), (7, True, 0.0), (34, False, 9.0)],
                          ids=["7-real", "7-complex", "34-real-definite"])
 def test_psd_part_is_bitwise_the_masked_recomposition(n, hermitian, shift):
-    # the kept columns are recomposed in column-major layout; for the
-    # positive-definite 34 x 34 case, a row-major operand makes OpenBLAS
-    # 0.3 pick another kernel and moves the last bits
+    # a real matrix is recomposed as B B^T, B = V sqrt(lambda) over the kept
+    # pairs: numpy hands that product to BLAS syrk, so it is bitwise
+    # symmetric, and it agrees with the masked recomposition V lambda V^T
+    # to roundoff.  A Hermitian one is the masked recomposition, symmetrized
     rng = np.random.default_rng(7)
     raw = rng.standard_normal((n, n))
     if hermitian:
@@ -89,7 +90,15 @@ def test_psd_part_is_bitwise_the_masked_recomposition(n, hermitian, shift):
     assert np.any(pos)
     vp = vectors[:, pos]
     q = (vp * values[pos]) @ vp.conj().T
-    assert np.array_equal(psd_part(m), (q + q.conj().T) / 2.0)
+    masked = (q + q.conj().T) / 2.0
+    p = psd_part(m)
+    if hermitian:
+        assert np.array_equal(p, masked)
+        return
+    b = vp * np.sqrt(values[pos])
+    assert np.array_equal(p, b @ b.T)
+    assert np.array_equal(p, p.T)
+    assert np.max(np.abs(p - masked)) <= 1e-14 * np.max(np.abs(m))
 
 
 # The Gram factorization X = Y^T Y of an SDP optimum is done inside

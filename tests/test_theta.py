@@ -315,6 +315,43 @@ def test_reference_lies_in_the_bracket(g, reference, solve):
     assert sol.iterations <= 100
 
 
+# iterations to converge at tol 1e-8: cheaper iterations and checks must
+# leave every stop point where it is
+PINNED_ITERATIONS = {"kcbs": 25, "bbc21": 25, "gnp20-w": 100} | {
+    f"C{n}": 25 if n < 25 else 50 for n in range(5, 33, 2)
+}
+
+
+@pytest.mark.parametrize("name, g", [case[:2] for case in REFERENCES] + [("gnp20-w", weighted_gnp20())],
+                         ids=[case[0] for case in REFERENCES] + ["gnp20-w"])
+def test_iteration_counts_are_pinned(name, g):
+    sol = lovasz_theta(g, tol=1e-8)
+    assert sol.converged
+    assert sol.iterations == PINNED_ITERATIONS[name]
+
+
+def test_a_check_that_misses_the_primal_residual_solves_no_eigenproblem(monkeypatch):
+    # weighted_gnp20 misses tol on the primal residual at its checks at
+    # iterations 25 and 50.  A check runs its eigenproblems (the PSD
+    # residual, then the dual's lambda_max) only once the primal residual
+    # is met, except the forced check at the cap, which runs both
+    g = weighted_gnp20()
+    assert lovasz_theta(g, tol=1e-8, max_iters=25).primal_residual > 1e-8
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    sol = lovasz_theta(g, tol=1e-8, max_iters=50)
+    assert sol.primal_residual > 1e-8
+    assert calls == [(20, 20), (20, 20)]  # the forced check at 50 only
+    assert np.isfinite(sol.psd_residual) and np.isfinite(sol.lower) and np.isfinite(sol.upper)
+    assert sol.lower <= sol.upper
+
+
 @pytest.mark.parametrize("g", [bbc21().graph, weighted_gnp20()], ids=["bbc21", "gnp20-w"])
 def test_weight_scale_does_not_change_the_solve(g):
     base = lovasz_theta(g)
