@@ -60,6 +60,31 @@ def _float_types(types) -> bool:
     return all(issubclass(t, (float, np.floating, np.integer)) for t in types)
 
 
+def _check_numbers(x, shape: tuple[int, ...], name: str, complex_ok: bool = False) -> None:
+    """The one check of input numbers: refuse the first entry of ``x``, nested
+    lists, tuples or arrays of ``shape``, that is not a real number (or a
+    complex one, when ``complex_ok``).  numpy would read True and "1.0" as
+    1.0, so the entries are checked before any conversion.  An ndarray of a
+    numeric kind passes at once, other input on the set of its entries'
+    types; the entries are walked only to name the first bad one."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in ("iufc" if complex_ok else "iuf"):
+        return
+    extra = (complex, np.complexfloating) if complex_ok else ()
+    entries = x
+    for _ in shape[1:]:
+        entries = chain.from_iterable(entries)
+    if _float_types(t for t in set(map(type, entries)) if not issubclass(t, extra)):
+        return
+    number = "number" if complex_ok else "real number"
+    for index in np.ndindex(shape):
+        s = x
+        for k in index:
+            s = s[k]
+        if not (_is_number(s) or isinstance(s, extra)):
+            where = name + "".join(f"[{k}]" for k in index)
+            raise ValueError(f"{where} must be a {number}, got {s!r}")
+
+
 def _walk_edges(pairs, n: int) -> list[tuple[int, int]]:
     """The per-entry check: raise naming the first bad pair, else the int pairs."""
     out = []
@@ -134,10 +159,7 @@ class ExclusivityGraph:
         if not (isinstance(w, np.ndarray) and w.dtype.kind in "iuf"):
             if not isinstance(w, (list, tuple, np.ndarray)) or len(w) != n:
                 raise ValueError(f"'weights' must be a list of {n} numbers")
-            if not (isinstance(w, (list, tuple)) and _float_types(set(map(type, w)))):
-                for k, x in enumerate(w):  # per entry: asarray would take True as 1.0
-                    if not _is_number(x):
-                        raise ValueError(f"weights[{k}] must be a real number, got {x!r}")
+            _check_numbers(w, (n,), "weights")
         w = np.array(w, dtype=float)  # a copy: the caller's array stays theirs
         if w.shape != (n,):
             raise ValueError(f"'weights' must be a list of {n} numbers, got shape {w.shape}")

@@ -17,11 +17,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .graph import (ExclusivityGraph, _float_types, _is_int, _is_number, _load_document,
+from .graph import (ExclusivityGraph, _check_numbers, _is_int, _is_number, _load_document,
                     max_edge_overlap)
 from .numerics import UNIT_TOL, _check_tol, _checked_hermitian, _norm_deviation, hermitize
 
@@ -69,36 +68,18 @@ def _rectangular(x, name: str, shape: str) -> np.ndarray:
         raise ValueError(f"'{name}' must have {shape}, got ragged rows") from None
 
 
-def _check_entries(x, a: np.ndarray, name: str, is_complex: bool) -> None:
-    """Refuse entries of ``x`` (read as ``a``) that are not numbers, and complex
-    entries outside the complex field.  An ndarray of a numeric kind passes
-    at once; other input is checked by the set of its entries' types, and
-    walked entry by entry to name the first bad one, since asarray would
-    read True as 1.0 and "1.0" as 1.0."""
-    kinds = "iufc" if is_complex else "iuf"
-    if isinstance(x, np.ndarray) and x.dtype.kind in kinds:
-        return
-    rows = [x] if a.ndim == 1 else x
-    extra = (complex, np.complexfloating) if is_complex else ()
-    types = set(map(type, chain.from_iterable(rows)))
-    if _float_types(t for t in types if not issubclass(t, extra)):
-        return
-    for i, row in enumerate(rows):
-        for k, s in enumerate(row):
-            if not (_is_number(s) or isinstance(s, extra)):
-                where = f"{name}[{k}]" if a.ndim == 1 else f"{name}[{i}][{k}]"
-                number = "number" if is_complex else "real number"
-                raise ValueError(f"{where} must be a {number}, got {s!r}")
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class OrthRep:
     """A handle vector plus one unit vector per graph vertex.
 
     ``vectors`` has shape (n, dim), n >= 1, with row i aligned to vertex i
-    of the graph it represents.  The constructor validates field, dim, and
-    that all vectors are finite and unit within ``numerics.UNIT_TOL``;
-    orthogonality on edges is checked by verify_rep.
+    of the graph it represents.  The constructor validates input from any
+    source: field, dim, the shapes, that every entry is a number (a real
+    one in the real field; a bool or a string is refused, naming the
+    entry), and that all vectors are finite and unit within
+    ``numerics.UNIT_TOL``; orthogonality on edges is checked by verify_rep.
+    ``handle`` and ``vectors`` are read-only copies, so a checked
+    representation stays checked.
     """
 
     field: str
@@ -117,10 +98,10 @@ class OrthRep:
             raise ValueError(f"'handle' must have length {dim}, got shape {handle.shape}")
         if vectors.ndim != 2 or vectors.shape[1] != dim:
             raise ValueError(f"'vectors' must have shape (n, {dim}), got {vectors.shape}")
-        _check_entries(self.handle, handle, "handle", dtype is complex)
-        _check_entries(self.vectors, vectors, "vectors", dtype is complex)
-        handle = np.asarray(handle, dtype=dtype)
-        vectors = np.asarray(vectors, dtype=dtype)
+        _check_numbers(self.handle, handle.shape, "handle", dtype is complex)
+        _check_numbers(self.vectors, vectors.shape, "vectors", dtype is complex)
+        handle = np.array(handle, dtype=dtype)  # copies: the caller's arrays stay theirs
+        vectors = np.array(vectors, dtype=dtype)
         if not (np.all(np.isfinite(handle)) and np.all(np.isfinite(vectors))):
             raise ValueError("representation contains non-finite entries")
         worst = _max_norm_deviation(handle, vectors)
@@ -128,9 +109,11 @@ class OrthRep:
             raise ValueError(f"handle/vectors must be unit norm (worst deviation {worst:.3e})")
         if vectors.shape[0] == 0:
             raise ValueError("'vectors' must hold at least one vector, got none")
-        self.dim = dim
-        self.handle = handle
-        self.vectors = vectors
+        handle.flags.writeable = False
+        vectors.flags.writeable = False
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "handle", handle)
+        object.__setattr__(self, "vectors", vectors)
 
     @property
     def n(self) -> int:
@@ -148,34 +131,35 @@ class VerificationReport:
     sic: bool | None = None
 
 
-def _scalars_from_json(x, is_complex: bool, where: str, length: int | None = None) -> None:
-    """Check a JSON list of numbers, or of [re, im] pairs for a complex field.
-
-    A vector row passes the handle's ``length``.  The entries are checked
-    by the set of their types, and walked one by one only to name the
-    first bad entry (or to accept JSON integers, which are unbounded).
-    """
-    if not isinstance(x, list):
-        raise ValueError(f"{where} must be a list of scalars, got {type(x).__name__}")
-    if length is not None and len(x) != length:
-        raise ValueError(f"{where} has {len(x)} entries but 'handle' has {length}")
-    if is_complex:
-        if (all(issubclass(t, list) for t in set(map(type, x))) and set(map(len, x)) <= {2}
-                and _float_types(set(map(type, chain.from_iterable(x))))):
-            return
-    elif _float_types(set(map(type, x))):
-        return
-    kind = "a [re, im] pair" if is_complex else "a number"
-    for k, s in enumerate(x):
-        if not (isinstance(s, list) and len(s) == 2 and all(map(_is_number, s))
-                if is_complex else _is_number(s)):
-            raise ValueError(f"{where}[{k}] must be {kind}, got {s!r}")
+def _walk_pairs(x, name: str, depth: int, index: tuple[int, ...] = ()) -> None:
+    """Raise naming the first entry ``depth`` lists deep in ``x`` that is not
+    an [re, im] pair, or the first entry above them that is not a list."""
+    where = name + "".join(f"[{k}]" for k in index) if index else f"'{name}'"
+    if depth == 0:
+        if not (isinstance(x, list) and len(x) == 2 and not any(isinstance(c, list) for c in x)):
+            raise ValueError(f"{where} must be a [re, im] pair, got {x!r}")
+    elif not isinstance(x, list):
+        raise ValueError(f"{where} must be a list, got {x!r}")
+    else:
+        for k, s in enumerate(x):
+            _walk_pairs(s, name, depth - 1, index + (k,))
 
 
-def _json_array(x, is_complex: bool, shape: tuple[int, ...]) -> np.ndarray:
-    """Checked JSON scalars as an array of ``shape``; a [re, im] pair is one entry."""
-    a = np.array(x, dtype=float)
-    return a.reshape(shape + (2,)).view(complex).reshape(shape) if is_complex else a.reshape(shape)
+def _from_pairs(x, name: str, depth: int) -> np.ndarray:
+    """The [re, im] pairs ``depth`` lists deep in a complex document's field
+    ``name`` as complex values: the pairs' shape is checked in bulk, their
+    components by the number check, and only a failure is walked."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        a = None
+    if a is not None and a.size == 0:
+        return a.astype(complex)  # the constructor refuses it by its shape
+    if a is None or a.shape[depth:] != (2,):
+        _walk_pairs(x, name, depth)
+        raise ValueError(f"'{name}' must have rows of one length, got ragged rows")
+    _check_numbers(x, a.shape, name)
+    return np.asarray(a, dtype=float).view(complex)[..., 0]
 
 
 def _json_scalars(a: np.ndarray, is_complex: bool) -> list:
@@ -184,19 +168,19 @@ def _json_scalars(a: np.ndarray, is_complex: bool) -> list:
 
 
 def parse_rep(text: str) -> OrthRep:
-    """Decode a representation document; the constructor validates it.  Raises RepFormatError."""
+    """Decode a representation document; the constructor validates it.
+
+    A real document's ``handle`` and ``vectors`` go to ``OrthRep`` as
+    decoded; a complex document's [re, im] pairs are first read as complex
+    values.  Raises RepFormatError.
+    """
     doc = _load_document(text, "representation", ("field", "dim", "handle", "vectors"),
                          RepFormatError)
     try:
-        is_complex = _field_dtype(doc["field"]) is complex
-        handle, rows = doc["handle"], doc["vectors"]
-        _scalars_from_json(handle, is_complex, "handle")
-        if not isinstance(rows, list):
-            raise ValueError("'vectors' must be a list of vectors")
-        for i, row in enumerate(rows):
-            _scalars_from_json(row, is_complex, f"vectors[{i}]", len(handle))
-        return OrthRep(doc["field"], doc["dim"], _json_array(handle, is_complex, (len(handle),)),
-                       _json_array(rows, is_complex, (len(rows), len(handle))))
+        handle, vectors = doc["handle"], doc["vectors"]
+        if doc["field"] == "complex":
+            handle, vectors = _from_pairs(handle, "handle", 1), _from_pairs(vectors, "vectors", 2)
+        return OrthRep(doc["field"], doc["dim"], handle, vectors)
     except ValueError as exc:
         raise RepFormatError(str(exc)) from exc
 

@@ -2,7 +2,8 @@
 hermitization, input checks and the solver's PSD projection.
 
 Matrices are plain numpy arrays, real symmetric or complex Hermitian;
-every routine keeps the input's field.  ``hermitize`` tightens
+``hermitize`` and the input check keep the input's field, and the PSD
+projection takes real symmetric input only.  ``hermitize`` tightens
 almost-(conjugate-)symmetric input into exactly symmetric storage, so
 downstream residual checks never see asymmetry noise.  Eigenproblems are
 delegated to LAPACK through numpy, which is deterministic for identical
@@ -66,29 +67,21 @@ def _norm_deviation(v) -> np.ndarray:
 
 
 def psd_part(m: np.ndarray) -> np.ndarray:
-    """Positive part of a symmetric or Hermitian matrix, without input checks:
-    the nearest positive-semidefinite matrix in Frobenius norm.
+    """Positive part of a real symmetric matrix, without input checks: the
+    nearest positive-semidefinite matrix in Frobenius norm.
 
     Keeps the eigenpairs with positive eigenvalue and recomposes; eigh reads
     one triangle only and sorts the eigenvalues ascending, so the positive
-    ones are a suffix.  The result is bitwise symmetric (Hermitian).  This is
-    the solver's inner kernel.
+    ones are a suffix.  This is the solver's inner kernel.
 
-    A real matrix is recomposed as B B^T with B = V sqrt(lambda) over the
-    kept pairs.  numpy hands a product of an array with its own transpose
-    to BLAS syrk, which computes one triangle and mirrors it, so the result
-    is bitwise symmetric without a symmetrizing pass.  A Hermitian matrix is
-    recomposed by a general product and symmetrized.
+    The matrix is recomposed as B B^T with B = V sqrt(lambda) over the kept
+    pairs.  numpy hands a product of an array with its own transpose to
+    BLAS syrk, which computes one triangle and mirrors it, so the result is
+    bitwise symmetric without a symmetrizing pass.
     """
     values, vectors = np.linalg.eigh(m)
     first = int(np.searchsorted(values, 0.0, side="right"))
     if first == values.size:
         return np.zeros_like(m)
-    if not np.iscomplexobj(vectors):
-        b = vectors[:, first:] * np.sqrt(values[first:])
-        return b @ b.T
-    # copy the kept columns column-major: the operand layout selects the
-    # BLAS kernel, and so the product's last bits
-    vp = np.asfortranarray(vectors[:, first:])
-    p = (vp * values[first:]) @ vp.conj().T
-    return (p + p.conj().T) / 2.0
+    b = vectors[:, first:] * np.sqrt(values[first:])
+    return b @ b.T

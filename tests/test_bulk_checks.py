@@ -1,17 +1,22 @@
 """The bulk checks and encoders of the graph and representation layers
 against the per-entry code they replaced (``util.oracle_*`` and the
 encoders below): the same inputs accepted, the same values stored, the
-same messages, and byte-identical documents."""
+same messages (for representation documents, the same refusals), and
+byte-identical documents."""
 
 import json
+import math
 import sys
+from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loorkit import ExclusivityGraph, OrthRep, loor, serialize_graph, serialize_rep
+from loorkit import (ExclusivityGraph, OrthRep, RepFormatError, parse_rep, serialize_graph,
+                     serialize_rep)
 from util import oracle_graph, oracle_scalars
 
 FLOAT_MAX = sys.float_info.max
@@ -158,19 +163,65 @@ def scalar_lists(draw):
     return x, is_complex, length
 
 
+def oracle_rep(doc: dict) -> OrthRep:
+    """The representation the per-entry parser built from a decoded document."""
+    is_complex = doc["field"] == "complex"
+    handle = oracle_scalars(doc["handle"], is_complex, "handle")
+    rows = doc["vectors"]
+    if not isinstance(rows, list):
+        raise ValueError("'vectors' must be a list of vectors")
+    rows = [oracle_scalars(row, is_complex, f"vectors[{i}]", len(handle))
+            for i, row in enumerate(rows)]
+    dtype = complex if is_complex else float
+    return OrthRep(doc["field"], doc["dim"], np.array(handle, dtype).reshape(len(handle)),
+                   np.array(rows, dtype).reshape(len(rows), len(handle)))
+
+
+def unit(x):
+    """``x`` with its float entries rescaled so that its entries, read as
+    numbers, form a unit vector: documents the oracle accepts are then
+    common, and stray bools and ints sit inside unit vectors.  Other input
+    is returned as is."""
+    leaves = list(chain.from_iterable(e if isinstance(e, list) else [e] for e in x)
+                  if isinstance(x, list) else [None])
+    if not all(isinstance(v, (int, float, np.number, np.bool_)) for v in leaves):
+        return x
+    try:
+        rest = math.hypot(*(v for v in leaves if not isinstance(v, float)))
+    except OverflowError:  # an int beyond the double range
+        return x
+    free = math.hypot(*(v for v in leaves if isinstance(v, float)))
+    if not (rest <= 1.0 and 0.0 < free < math.inf):
+        return x
+    room = math.sqrt(1.0 - rest * rest)
+
+    def scaled(v):  # |v| <= free, so v / free does not overflow
+        return v / free * room if isinstance(v, float) else v
+
+    return [[scaled(c) for c in e] if isinstance(e, list) else scaled(e) for e in x]
+
+
 @settings(deadline=None, max_examples=600)
-@given(scalar_lists())
-def test_json_scalars_match_the_per_entry_oracle(case):
+@given(scalar_lists(), st.booleans())
+def test_parse_rep_matches_the_per_entry_oracle(case, as_handle):
+    # x is the handle and the one vector, or else the whole of 'vectors'
     x, is_complex, length = case
-    expected = outcome(lambda: oracle_scalars(x, is_complex, "vectors[2]", length))
-    got = outcome(lambda: loor._scalars_from_json(x, is_complex, "vectors[2]", length))
+    x = unit(x)
+    dim = length if length is not None else len(x) if isinstance(x, list) else 1
+    e1 = [[1.0, 0.0] if is_complex else 1.0] + [[0.0, 0.0] if is_complex else 0.0] * (dim - 1)
+    doc = {"field": "complex" if is_complex else "real", "dim": dim,
+           "handle": x if as_handle else e1, "vectors": [x] if as_handle else x}
+    text = json.dumps(doc, default=lambda s: s.item())  # numpy ints and bools
+    expected = outcome(lambda: oracle_rep(json.loads(text)))
+    got = outcome(lambda: parse_rep(text))
     if expected[0] != "ok":
-        assert got == expected
+        assert got[0] is RepFormatError, got
         return
-    assert got == ("ok", None)
-    a = loor._json_array(x, is_complex, (len(x),))
-    want = np.array(expected[1], dtype=complex if is_complex else float)
-    assert a.dtype == want.dtype and a.tobytes() == want.tobytes()
+    assert got[0] == "ok", got
+    rep, want = got[1], expected[1]
+    assert (rep.field, rep.dim) == (want.field, want.dim)
+    for a, b in ((rep.handle, want.handle), (rep.vectors, want.vectors)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def old_serialize_graph(g, indent=None) -> str:
@@ -224,9 +275,8 @@ def test_serialize_graph_matches_the_per_scalar_encoder_on_random_graphs(n, data
 @settings(deadline=None, max_examples=150)
 @given(st.booleans(), st.integers(1, 4), st.integers(1, 4), st.data())
 def test_serialize_rep_matches_the_per_scalar_encoder(is_complex, dim, n, data):
-    # the encoder does not validate, so the arrays are set after construction
-    # to values no unit vector holds
-    rep = OrthRep("complex" if is_complex else "real", dim, np.eye(dim)[0], np.eye(dim)[[0] * n])
+    # the encoder does not validate, and reads only the four fields, so it is
+    # given a stand-in for an OrthRep holding values no unit vector holds
     value = st.one_of(st.sampled_from(EDGE_VALUES), st.floats())
 
     def array(shape):
@@ -234,7 +284,8 @@ def test_serialize_rep_matches_the_per_scalar_encoder(is_complex, dim, n, data):
         a = np.array(data.draw(st.lists(value, min_size=count, max_size=count)))
         return a.reshape(shape + (2,)).view(complex).reshape(shape) if is_complex else a.reshape(shape)
 
-    rep.handle, rep.vectors = array((dim,)), array((n, dim))
+    rep = SimpleNamespace(field="complex" if is_complex else "real", dim=dim,
+                          handle=array((dim,)), vectors=array((n, dim)))
     for indent in (None, 2):
         assert serialize_rep(rep, indent) == old_serialize_rep(rep, indent)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 
@@ -133,6 +134,22 @@ def test_graph_weights_are_a_read_only_copy():
     assert np.array_equal(g.weights, [1.0, 2.0])
     assert independence_number(g) == (2.0, (1,))
     assert parse_graph(serialize_graph(g)) == g
+
+
+def test_orthrep_is_read_only():
+    # a checked representation stays checked: neither a new array nor a
+    # write into a stored one can skip the unit-norm, finiteness and field
+    # checks
+    handle, vectors = np.array([1.0, 0.0]), np.array([[0.0, 1.0]])
+    rep = OrthRep("real", 2, handle, vectors)
+    for name in ("handle", "vectors", "dim", "field"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rep, name, getattr(rep, name))
+    for stored in (rep.handle, rep.vectors):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 5.0
+    handle[0] = vectors[0, 0] = 7.0  # the caller's arrays stay writeable, and stay theirs
+    assert np.array_equal(rep.handle, [1.0, 0.0]) and np.array_equal(rep.vectors, [[0.0, 1.0]])
 
 
 def test_orthrep_accepts_numbers_of_every_numeric_type():

@@ -417,16 +417,30 @@ def test_rep_json_complex_scalars_are_pairs():
         ('{"field": "cplx", "dim": 1, "handle": [[1, 0]], "vectors": [[[1, 0]]]}', "'field'"),
         ('{"field": "real", "dim": 2, "handle": [1.0], "vectors": []}', "handle"),
         ('{"field": "complex", "dim": 1, "handle": [1.0], "vectors": []}', "re, im"),
-        ('{"field": "real", "dim": 1, "handle": [2.0], "vectors": []}', "unit"),
+        ('{"field": "real", "dim": 1, "handle": [2.0], "vectors": []}',
+         r"'vectors' must have shape \(n, 1\), got \(0,\)"),
         ('{"field": "real", "dim": 2, "handle": [1e308, 0], "vectors": [[1, 0]]}', "unit"),
         ('{"field": "real", "dim": 2, "handle": [1, 0], "vectors": [[1e308, 1e308]]}', "unit"),
         ('{"field": "real", "dim": 1, "handle": [NaN], "vectors": [[1]]}', "non-finite"),
         ('{"field": "real", "dim": 1, "handle": [1], "vectors": [[Infinity]]}', "non-finite"),
-        ('{"field": "real", "dim": 1, "handle": 5, "vectors": [[1]]}', "handle must be a list"),
+        ('{"field": "real", "dim": 1, "handle": 5, "vectors": [[1]]}',
+         r"handle' must have length 1, got shape \(\)"),
         ('{"field": "real", "dim": 2, "handle": [1, 0], "vectors": [[1]]}',
-         r"vectors\[0\] has 1 entries but 'handle' has 2"),
+         r"'vectors' must have shape \(n, 2\), got \(1, 1\)"),
         ('{"field": "real", "dim": 1, "handle": [1], "vectors": "x"}',
-         "'vectors' must be a list of vectors"),
+         r"'vectors' must have shape \(n, 1\), got \(\)"),
+        ('{"field": "real", "dim": 1, "handle": [1], "vectors": [[true]]}',
+         r"vectors\[0\]\[0\] must be a real number, got True"),
+        ('{"field": "real", "dim": 1, "handle": [1], "vectors": [[[1]]]}',
+         r"'vectors' must have shape \(n, 1\), got \(1, 1, 1\)"),
+        ('{"field": "complex", "dim": 1, "handle": [[1, 0]], "vectors": [[[1, 0]], [[1, 0, 0]]]}',
+         r"vectors\[1\]\[0\] must be a \[re, im\] pair, got \[1, 0, 0\]"),
+        ('{"field": "complex", "dim": 1, "handle": [[[1, 0]]], "vectors": [[[1, 0]]]}',
+         r"handle\[0\] must be a \[re, im\] pair, got \[\[1, 0\]\]"),
+        ('{"field": "complex", "dim": 1, "handle": [[1, 0]], "vectors": [[[true, 0]]]}',
+         r"vectors\[0\]\[0\]\[0\] must be a real number, got True"),
+        ('{"field": "complex", "dim": 1, "handle": [[1, 0]], "vectors": [[[1, 0]], []]}',
+         "'vectors' must have rows of one length, got ragged rows"),
         ('{"field": "real", "dim": 1, "handle": [1.0], "vectors": [], "x": 0}', "unknown"),
         ("[1, 2]", "object"),
         pytest.param("[" * 100_000, "malformed", id="deeply-nested-malformed"),
