@@ -1,11 +1,10 @@
 """Weighted Lovász numbers, optimal orthogonal representations, and
 complex-to-real conversion for exclusivity graphs."""
 
-from . import graph, instances, loor, numerics, realify, theta
+from . import graph, instances, loor, realify, theta
 from .graph import *
 from .instances import *
 from .loor import *
-from .numerics import *
 from .realify import *
 from .theta import *
 
@@ -15,7 +14,6 @@ __all__ = [
     *graph.__all__,
     *instances.__all__,
     *loor.__all__,
-    *numerics.__all__,
     *realify.__all__,
     *theta.__all__,
     "__version__",

@@ -17,8 +17,6 @@ from itertools import chain
 
 import numpy as np
 
-from .numerics import UNIT_TOL, _check_tol, _norm_deviation
-
 __all__ = [
     "ExclusivityGraph",
     "GraphFormatError",
@@ -31,6 +29,8 @@ __all__ = [
 
 MAX_EXACT_VERTICES = 64
 ORTHO_TOL = 1e-9  # orthogonality_graph's default edge threshold on |<v_i|v_j>|
+# absolute tolerance for accepting a vector as unit norm
+UNIT_TOL = 1e-8
 
 
 class GraphFormatError(ValueError):
@@ -83,6 +83,20 @@ def _check_numbers(x, shape: tuple[int, ...], name: str, complex_ok: bool = Fals
         if not (_is_number(s) or isinstance(s, extra)):
             where = name + "".join(f"[{k}]" for k in index)
             raise ValueError(f"{where} must be a {number}, got {s!r}")
+
+
+def _check_tol(name: str, value) -> None:
+    """Refuse a tolerance that is a bool or not a positive, finite number."""
+    if isinstance(value, (bool, np.bool_)) or not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _norm_deviation(v) -> np.ndarray:
+    """|norm - 1| of a vector, or of each row of an (n, d) array; inf on overflow."""
+    a = np.asarray(v)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(a) if a.ndim == 1 else np.linalg.norm(a, axis=1)
+    return np.abs(norms - 1.0)
 
 
 def _walk_edges(pairs, n: int) -> list[tuple[int, int]]:
@@ -157,7 +171,8 @@ class ExclusivityGraph:
         n = int(n)
         w = self.weights
         if not (isinstance(w, np.ndarray) and w.dtype.kind in "iuf"):
-            if not isinstance(w, (list, tuple, np.ndarray)) or len(w) != n:
+            sized = isinstance(w, (list, tuple)) or (isinstance(w, np.ndarray) and w.ndim > 0)
+            if not sized or len(w) != n:  # a 0-d array has no len()
                 raise ValueError(f"'weights' must be a list of {n} numbers")
             _check_numbers(w, (n,), "weights")
         w = np.array(w, dtype=float)  # a copy: the caller's array stays theirs
@@ -241,7 +256,7 @@ def orthogonality_graph(vectors, weights=None, tol: float = ORTHO_TOL) -> Exclus
     """Graph with an edge (i, j) exactly when |<v_i|v_j>| <= tol.
 
     ``vectors`` is an (n, d) array (real or complex) of rows that are unit
-    within ``numerics.UNIT_TOL``; weights default to 1.  Inner products are
+    within ``UNIT_TOL``; weights default to 1.  Inner products are
     invariant under a common unitary, so the derived graph is too.
     """
     v = np.asarray(vectors)

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (ExclusivityGraph, _check_numbers, _is_int, _is_number, _load_document,
-                    max_edge_overlap)
-from .numerics import UNIT_TOL, _check_tol, _checked_hermitian, _norm_deviation, hermitize
+from .graph import (UNIT_TOL, ExclusivityGraph, _check_numbers, _check_tol, _is_int, _is_number,
+                    _load_document, _norm_deviation, max_edge_overlap)
 
 __all__ = [
     "OrthRep",
@@ -35,12 +34,15 @@ __all__ = [
     "gram_from_rep",
     "rep_from_gram",
     "certify_operator",
+    "hermitize",
 ]
 
 SIC_TOL = 1e-8
 VERIFY_TOL = 1e-8  # verify_rep's default tolerance
 # rep_from_gram keeps the eigenvalues of X above RANK_TOL * lambda_max
 RANK_TOL = 1e-7
+# relative tolerance for accepting input as symmetric / Hermitian
+SYMMETRY_TOL = 1e-8
 
 
 class RepFormatError(ValueError):
@@ -60,12 +62,14 @@ def _max_norm_deviation(handle: np.ndarray, vectors: np.ndarray) -> float:
 
 
 def _rectangular(x, name: str, shape: str) -> np.ndarray:
-    """``np.asarray(x)``, refusing ragged nesting with a message that names
-    the field and the ``shape`` it must have."""
+    """``np.asarray(x)``, refusing ragged or too deep nesting with a message
+    that names the field and the ``shape`` it must have."""
     try:
         return np.asarray(x)
-    except ValueError:  # numpy's "inhomogeneous shape"
-        raise ValueError(f"'{name}' must have {shape}, got ragged rows") from None
+    except ValueError as exc:  # numpy's "inhomogeneous shape" or its dimension limit
+        deep = "maximum number of dimension" in str(exc)
+        got = "nesting deeper than numpy's maximum number of dimensions" if deep else "ragged rows"
+        raise ValueError(f"'{name}' must have {shape}, got {got}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +81,7 @@ class OrthRep:
     source: field, dim, the shapes, that every entry is a number (a real
     one in the real field; a bool or a string is refused, naming the
     entry), and that all vectors are finite and unit within
-    ``numerics.UNIT_TOL``; orthogonality on edges is checked by verify_rep.
+    ``graph.UNIT_TOL``; orthogonality on edges is checked by verify_rep.
     ``handle`` and ``vectors`` are read-only copies, so a checked
     representation stays checked.
     """
@@ -254,6 +258,32 @@ def verify_rep(
         sic_spectrum=spectrum,
         sic=sic,
     )
+
+
+def hermitize(m) -> np.ndarray:
+    """Return (M + M^H)/2: bitwise (conjugate) symmetric, real diagonal.
+
+    Real input stays real (float64), complex input stays complex.
+    """
+    a = np.asarray(m)
+    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
+    return (a + a.conj().T) / 2.0
+
+
+def _checked_hermitian(m) -> np.ndarray:
+    """Hermitized copy of a square, finite, nonempty, (conjugate) symmetric matrix."""
+    a = np.asarray(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise ValueError("matrix must have size >= 1")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix must be finite and Hermitian, got non-finite entries")
+    scale = max(1.0, float(np.max(np.abs(a))))
+    dev = float(np.max(np.abs(a - a.conj().T)))
+    if dev > SYMMETRY_TOL * scale:
+        raise ValueError(f"matrix deviates from Hermitian (conjugate) symmetry by {dev:.3e}")
+    return hermitize(a)
 
 
 def gram_from_rep(rep: OrthRep, g: ExclusivityGraph) -> np.ndarray:

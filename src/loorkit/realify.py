@@ -28,8 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import ExclusivityGraph
-from .loor import OrthRep, _check_aligned
-from .numerics import _checked_hermitian
+from .loor import OrthRep, _check_aligned, _checked_hermitian
 
 __all__ = [
     "block_embed",
@@ -44,7 +43,7 @@ def block_embed(m) -> np.ndarray:
     """Embed Hermitian A + iB as the real symmetric block [[A, -B], [B, A]].
 
     The input must be square, nonempty, finite and Hermitian within
-    ``numerics.SYMMETRY_TOL`` (relative).
+    ``loor.SYMMETRY_TOL`` (relative).
     """
     h = _checked_hermitian(m)
     return np.block([[h.real, -h.imag], [h.imag, h.real]])

@@ -93,8 +93,7 @@ import math
 
 import numpy as np
 
-from .graph import ExclusivityGraph, _is_int
-from .numerics import _check_tol, psd_part
+from .graph import ExclusivityGraph, _check_tol, _is_int
 
 __all__ = [
     "ThetaSolution",
@@ -151,6 +150,25 @@ def weight_objective(g: ExclusivityGraph) -> np.ndarray:
     """Objective matrix W with W_ij = sqrt(w_i w_j) (all-ones for unit weights)."""
     root = np.sqrt(g.weights)
     return np.outer(root, root)
+
+
+def psd_part(m: np.ndarray) -> np.ndarray:
+    """Positive part of a real symmetric matrix, without input checks: the
+    nearest positive-semidefinite matrix in Frobenius norm.
+
+    Keeps the eigenpairs with positive eigenvalue and recomposes; eigh reads
+    one triangle only and sorts the eigenvalues ascending, so the positive
+    ones are a suffix.  This is the solver's inner kernel.
+
+    The matrix is recomposed as B B^T with B = V sqrt(lambda) over the kept
+    pairs.  numpy hands a product of an array with its own transpose to
+    BLAS syrk, which computes one triangle and mirrors it, so the result is
+    bitwise symmetric without a symmetrizing pass.
+    """
+    values, vectors = np.linalg.eigh(m)
+    first = int(np.searchsorted(values, 0.0, side="right"))
+    b = vectors[:, first:] * np.sqrt(values[first:])
+    return b @ b.T
 
 
 def _flat_edges(g: ExclusivityGraph) -> np.ndarray:
@@ -227,11 +245,7 @@ def lovasz_theta(
 
     iterations = 0
     converged = False
-    x_report = t
-    primal = np.inf
-    psd_resid = np.inf
-    value = float("nan")
-    lower = -np.inf
+    # no start for X, value, lower or residuals: max_iters >= 1 and the last check runs every stage
     upper = np.inf
 
     while iterations < max_iters:

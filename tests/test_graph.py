@@ -122,6 +122,14 @@ def test_constructors_reject_bad_fields(make, fragment):
         make()
 
 
+@pytest.mark.parametrize("weights", [np.array(None), np.array("a")], ids=["none", "string"])
+def test_zero_dimensional_weights_are_refused_naming_weights(weights):
+    # a 0-d array of no numeric kind has no len(); it gets the message of a
+    # wrong-length list, not a TypeError
+    with pytest.raises(ValueError, match="'weights' must be a list of 1 numbers"):
+        ExclusivityGraph(1, weights, ())
+
+
 def test_graph_weights_are_a_read_only_copy():
     # a checked graph stays checked: a negative weight written after
     # construction would reach alpha and make serialize_graph write a

@@ -451,6 +451,20 @@ def test_rep_parse_errors(doc, fragment):
         parse_rep(doc)
 
 
+def test_rep_nesting_past_numpy_dimension_limit_is_named():
+    deep = 1.0
+    for _ in range(70):  # numpy arrays have at most 64 dimensions
+        deep = [deep]
+    real = {"field": "real", "dim": 1, "handle": [1.0], "vectors": deep}
+    with pytest.raises(RepFormatError, match=r"'vectors' must have shape \(n, 1\), got nesting "
+                       "deeper than numpy's maximum number of dimensions"):
+        parse_rep(json.dumps(real))
+    # a complex document's pairs are walked, which names the first bad entry
+    complex_doc = {"field": "complex", "dim": 1, "handle": [[1, 0]], "vectors": deep}
+    with pytest.raises(RepFormatError, match=r"vectors\[0\]\[0\] must be a \[re, im\] pair"):
+        parse_rep(json.dumps(complex_doc))
+
+
 def test_orthrep_validates_norms():
     with pytest.raises(ValueError, match="unit"):
         OrthRep("real", 2, np.array([1.0, 1.0]), np.zeros((0, 2)))

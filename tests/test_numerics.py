@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from loorkit import ExclusivityGraph, bbc21, certify_operator, hermitize, rep_from_gram
-from loorkit.numerics import _checked_hermitian, psd_part
+from loorkit.loor import _checked_hermitian
+from loorkit.theta import psd_part
 
 
 def test_herm_eig_weighted_ray_sum_is_flat():
