@@ -297,14 +297,20 @@ def independence_number(g: ExclusivityGraph) -> tuple[float, tuple[int, ...]]:
     takes at most one vertex per clique.  Before bounding, the search takes
     every forced vertex: one with no neighbour left, or with exactly one
     neighbour no heavier than itself (some maximum set contains it, since
-    that set can trade the neighbour for it).  It then branches on the
+    that set can trade the neighbour for it).  A node checks only the
+    vertices whose neighbourhood changed since its parent's check left none
+    forced: the neighbours of the removed neighbours after taking a vertex,
+    the neighbours of a vertex after dropping it.  It then branches on the
     heaviest vertex left, and stops once its incumbent reaches its goal.
+    It records the set behind its incumbent.
 
     Run with no goal, it finds alpha.  The witness walks the original
     vertex indices in ascending order and keeps vertex k exactly when the
     same search, with goal alpha less 1e-9 (relative), finds a set holding
-    k and the vertices kept so far; a vertex with no neighbour left is kept
-    without asking.  So the witness is the lexicographically smallest
+    k and the vertices kept so far.  The walk holds the last set found to
+    reach the goal: first the one behind alpha, then that of each search
+    that succeeds.  A vertex in it, or with no neighbour left, is kept
+    without a search.  So the witness is the lexicographically smallest
     maximum set.  Its weight is a correctly rounded sum (math.fsum).
     """
     n = g.n
@@ -339,11 +345,13 @@ def independence_number(g: ExclusivityGraph) -> tuple[float, tuple[int, ...]]:
                 common &= adj[low.bit_length() - 1]
         return ub
 
-    top, goal = 0.0, math.inf  # the incumbent, and the weight at which the search stops
+    top, goal, best = 0.0, math.inf, 0  # the incumbent, the stopping weight, top's set
 
-    def dfs(mask: int, acc: float) -> None:
-        nonlocal top
-        rest = mask  # take forced vertices; a take rechecks the vertices it touched
+    def dfs(mask: int, acc: float, taken: int, rest: int) -> None:
+        nonlocal top, best
+        # take forced vertices among those in rest, whose neighbourhood in
+        # mask changed since the parent's pass left none forced; a take
+        # rechecks the vertices it touched
         while rest:
             low = rest & -rest
             rest ^= low
@@ -352,32 +360,45 @@ def independence_number(g: ExclusivityGraph) -> tuple[float, tuple[int, ...]]:
             if not nb:
                 mask ^= low
                 acc += wt[v]
+                taken |= low
             elif not nb & (nb - 1) and wt[nb.bit_length() - 1] <= wt[v]:
                 mask &= ~(low | nb)
                 acc += wt[v]
+                taken |= low
                 rest = (rest | adj[nb.bit_length() - 1]) & mask
         if acc > top:
-            top = acc
+            top, best = acc, taken
         if not mask or top >= goal or acc + cover_bound(mask) <= top:
             return
-        v = (mask & -mask).bit_length() - 1  # heaviest vertex left
-        dfs(mask & ~closed[v], acc + wt[v])
-        dfs(mask & ~(1 << v), acc)
+        low = mask & -mask
+        v = low.bit_length() - 1  # heaviest vertex left
+        nb = rest = adj[v] & mask
+        touched = 0
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            touched |= adj[u.bit_length() - 1]
+        child = mask & ~closed[v]
+        dfs(child, acc + wt[v], taken | low, touched & child)
+        dfs(mask ^ low, acc, taken, nb)
 
     mask = (1 << n) - 1
-    dfs(mask, 0.0)
+    dfs(mask, 0.0, 0, mask)
     goal = top - 1e-9 * top  # the floor: alpha up to roundoff; top > 0
+    proof = best  # invariant: the kept vertices and proof & mask form a set reaching goal
     acc, witness = 0.0, []
-    for k in range(n):  # invariant: some independent set in mask reaches goal - acc
+    for k in range(n):
         b = label[k]
         if not (mask >> b) & 1:
             continue
-        if adj[b] & mask:
+        if adj[b] & mask and not (proof >> b) & 1:
             top = math.nextafter(goal, -math.inf)  # also prunes what cannot reach goal
-            dfs(mask & ~closed[b], acc + w[k])
+            child = mask & ~closed[b]
+            dfs(child, acc + w[k], 0, child)
             if top < goal:
                 mask ^= 1 << b
                 continue
+            proof = best | (1 << b)
         mask &= ~closed[b]
         acc += w[k]
         witness.append(k)

@@ -399,12 +399,21 @@ def test_independence_matches_brute_force_on_scaled_weights(scale):
         (64, 0.1, False, (25.0, (1, 3, 5, 8, 10, 11, 13, 18, 20, 22, 25, 27, 33, 34, 36,
                                  37, 43, 44, 46, 50, 52, 53, 55, 61, 62))),
         (40, 0.3, True, (62.0, (3, 4, 5, 12, 18, 20, 22, 25, 30, 31))),
+        (60, 0.1, True, (141.0, (4, 9, 10, 11, 13, 15, 17, 20, 21, 22, 33, 34, 36, 40, 46,
+                                 49, 50, 52, 53, 55, 56, 59))),
+        (64, 0.1, True, (139.0, (0, 2, 3, 8, 13, 16, 18, 20, 21, 25, 29, 30, 33, 37, 41,
+                                 46, 49, 50, 56, 57, 58, 59, 62))),
+        (64, 0.2, False, (17.0, (1, 5, 11, 18, 19, 21, 22, 25, 27, 36, 37, 43, 44, 46, 48,
+                                 55, 62))),
     ],
-    ids=["G48-unit", "G56-integer", "G64-unit", "G40-dense-integer"],
+    ids=["G48-unit", "G56-integer", "G64-unit", "G40-dense-integer", "G60-integer",
+         "G64-integer", "G64-p.2-unit"],
 )
 def test_independence_golden_witness_on_general_graphs(n, p, integer_weights, expected):
-    # beyond brute force and off forests: values recorded from an earlier
-    # solver that found the witness with a separate include-first search
+    # beyond brute force and off forests: the first four recorded from an
+    # earlier solver that found the witness with a separate include-first
+    # search, the last three from the search before the witness walk reused
+    # its maximum sets (the costliest kinds of graph for that walk)
     rng = np.random.default_rng(n)
     w = rng.integers(1, 9, n).astype(float) if integer_weights else None
     assert independence_number(gnp(rng, n, p, w)) == expected
@@ -436,6 +445,21 @@ def test_independence_ties_on_stars_paths_and_caterpillars(shape):
         n = int(rng.integers(2, 15))
         g = ExclusivityGraph(n=n, weights=rng.integers(1, 4, n).astype(float),
                              edges=tuple(shape(rng, n)))
+        assert independence_number(g) == brute_force_independence(g)
+
+
+def test_independence_matches_brute_force_on_near_forests():
+    # a chord or three on a forest hide forced vertices until a branch
+    # removes vertices, and leave many tied maximum sets for the witness walk
+    rng = np.random.default_rng(16)
+    for _ in range(400):
+        n = int(rng.integers(2, 15))
+        forest = random_forest(rng, n, 0.2, rng.integers(1, 4, n).astype(float))
+        absent = [(i, j) for i in range(n) for j in range(i + 1, n)
+                  if (i, j) not in forest.edges]
+        picks = rng.permutation(len(absent))[: int(rng.integers(1, 4))]
+        g = ExclusivityGraph(n=n, weights=forest.weights,
+                             edges=forest.edges + tuple(absent[k] for k in picks))
         assert independence_number(g) == brute_force_independence(g)
 
 

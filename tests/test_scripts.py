@@ -56,3 +56,13 @@ def test_readme_theta_example_matches_the_cli(tmp_path, capsys):
     path.write_text(serialize_graph(bbc21().graph))
     assert cli.main(["theta", str(path), "--tol", "1e-6"]) == 0
     assert json.loads(capsys.readouterr().out) == json.loads(documented)
+
+
+def test_readme_alpha_example_matches_the_cli(tmp_path, capsys):
+    readme = (ROOT / "README.md").read_text()
+    documented = readme.split("loorkit alpha bbc.json", 1)[1].split("\n", 1)[0]
+    assert documented.split("# -> ", 1)[1] == '{"alpha": 27.0, "witness": [0, ..., 8]}'
+    path = tmp_path / "bbc.json"
+    path.write_text(serialize_graph(bbc21().graph))
+    assert cli.main(["alpha", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"alpha": 27.0, "witness": list(range(9))}
