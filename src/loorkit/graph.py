@@ -27,7 +27,6 @@ __all__ = [
     "independence_number",
 ]
 
-MAX_EXACT_VERTICES = 64
 ORTHO_TOL = 1e-9  # orthogonality_graph's default edge threshold on |<v_i|v_j>|
 # absolute tolerance for accepting a vector as unit norm
 UNIT_TOL = 1e-8
@@ -286,7 +285,7 @@ def max_edge_overlap(vectors, g: ExclusivityGraph) -> float:
 
 
 def independence_number(g: ExclusivityGraph) -> tuple[float, tuple[int, ...]]:
-    """Exact maximum-weight independent set: (alpha, witness).
+    """Maximum-weight independent set, up to a 1e-9 tie floor: (alpha, witness).
 
     One branch-and-bound search, on bitset adjacency with a greedy weighted
     clique cover as the pruning bound.  The bitsets label the vertices
@@ -301,24 +300,22 @@ def independence_number(g: ExclusivityGraph) -> tuple[float, tuple[int, ...]]:
     vertices whose neighbourhood changed since its parent's check left none
     forced: the neighbours of the removed neighbours after taking a vertex,
     the neighbours of a vertex after dropping it.  It then branches on the
-    heaviest vertex left, and stops once its incumbent reaches its goal.
-    It records the set behind its incumbent.
+    heaviest vertex left, taking it first.  Open nodes are frames on an
+    explicit stack, not nested calls, so only the number of search nodes
+    limits the graph size.  The search records the set behind its
+    incumbent and returns as soon as the incumbent reaches its goal.
 
-    Run with no goal, it finds alpha.  The witness walks the original
-    vertex indices in ascending order and keeps vertex k exactly when the
-    same search, with goal alpha less 1e-9 (relative), finds a set holding
-    k and the vertices kept so far.  The walk holds the last set found to
-    reach the goal: first the one behind alpha, then that of each search
-    that succeeds.  A vertex in it, or with no neighbour left, is kept
-    without a search.  So the witness is the lexicographically smallest
-    maximum set.  Its weight is a correctly rounded sum (math.fsum).
+    Run with no goal, it finds the maximum weight.  The witness walks the
+    original vertex indices in ascending order and keeps vertex k exactly
+    when the same search, with goal that maximum less 1e-9 (relative),
+    finds a set holding k and the vertices kept so far.  The walk holds the
+    last set found to reach the goal (first the one behind the maximum); a
+    vertex in it, or with no neighbour left, is kept without a search.  So
+    the witness is the lexicographically smallest set within 1e-9 (relative)
+    of the maximum, and alpha is its weight, a correctly rounded sum
+    (math.fsum): on an edge weighted 1 and 1 + 1e-10 it is (1.0, (0,)).
     """
     n = g.n
-    if n > MAX_EXACT_VERTICES:
-        raise ValueError(
-            f"exact solver is limited to {MAX_EXACT_VERTICES} vertices (got {n}); "
-            "this tool targets desk-scale instances"
-        )
     w = [float(x) for x in g.weights]
     order = sorted(range(n), key=lambda v: (-w[v], v))  # vertex at each label
     label = [0] * n
@@ -345,57 +342,60 @@ def independence_number(g: ExclusivityGraph) -> tuple[float, tuple[int, ...]]:
                 common &= adj[low.bit_length() - 1]
         return ub
 
-    top, goal, best = 0.0, math.inf, 0  # the incumbent, the stopping weight, top's set
-
-    def dfs(mask: int, acc: float, taken: int, rest: int) -> None:
-        nonlocal top, best
-        # take forced vertices among those in rest, whose neighbourhood in
-        # mask changed since the parent's pass left none forced; a take
-        # rechecks the vertices it touched
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            nb = adj[v] & mask
-            if not nb:
-                mask ^= low
-                acc += wt[v]
-                taken |= low
-            elif not nb & (nb - 1) and wt[nb.bit_length() - 1] <= wt[v]:
-                mask &= ~(low | nb)
-                acc += wt[v]
-                taken |= low
-                rest = (rest | adj[nb.bit_length() - 1]) & mask
-        if acc > top:
-            top, best = acc, taken
-        if not mask or top >= goal or acc + cover_bound(mask) <= top:
-            return
-        low = mask & -mask
-        v = low.bit_length() - 1  # heaviest vertex left
-        nb = rest = adj[v] & mask
-        touched = 0
-        while rest:
-            u = rest & -rest
-            rest ^= u
-            touched |= adj[u.bit_length() - 1]
-        child = mask & ~closed[v]
-        dfs(child, acc + wt[v], taken | low, touched & child)
-        dfs(mask ^ low, acc, taken, nb)
+    # the last incumbent above top and its set, returned once it reaches goal;
+    # a frame (mask, acc, taken, rest) keeps in rest the vertices whose
+    # neighbourhood in mask changed since the parent's pass left none forced
+    def search(mask: int, acc: float, top: float, goal: float) -> tuple[float, int]:
+        best, stack = 0, [(mask, acc, 0, mask)]
+        while stack:
+            mask, acc, taken, rest = stack.pop()
+            while rest:  # take forced vertices; a take rechecks what it touched
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                nb = adj[v] & mask
+                if not nb:
+                    mask ^= low
+                    acc += wt[v]
+                    taken |= low
+                elif not nb & (nb - 1) and wt[nb.bit_length() - 1] <= wt[v]:
+                    mask &= ~(low | nb)
+                    acc += wt[v]
+                    taken |= low
+                    rest = (rest | adj[nb.bit_length() - 1]) & mask
+            if acc > top:
+                top, best = acc, taken
+                if top >= goal:
+                    break
+            if not mask or acc + cover_bound(mask) <= top:
+                continue
+            low = mask & -mask
+            v = low.bit_length() - 1  # heaviest vertex left
+            nb = rest = adj[v] & mask
+            touched = 0
+            while rest:
+                u = rest & -rest
+                rest ^= u
+                touched |= adj[u.bit_length() - 1]
+            child = mask & ~closed[v]
+            stack.append((mask ^ low, acc, taken, nb))  # exclude v: popped second
+            stack.append((child, acc + wt[v], taken | low, touched & child))
+        return top, best
 
     mask = (1 << n) - 1
-    dfs(mask, 0.0, 0, mask)
-    goal = top - 1e-9 * top  # the floor: alpha up to roundoff; top > 0
-    proof = best  # invariant: the kept vertices and proof & mask form a set reaching goal
+    top, proof = search(mask, 0.0, 0.0, math.inf)
+    goal = top - 1e-9 * top  # the tie floor; top > 0
+    # invariant: the kept vertices and proof & mask form a set reaching goal
     acc, witness = 0.0, []
     for k in range(n):
         b = label[k]
         if not (mask >> b) & 1:
             continue
         if adj[b] & mask and not (proof >> b) & 1:
-            top = math.nextafter(goal, -math.inf)  # also prunes what cannot reach goal
             child = mask & ~closed[b]
-            dfs(child, acc + w[k], 0, child)
-            if top < goal:
+            # start just below goal: also prunes what cannot reach goal
+            found, best = search(child, acc + w[k], math.nextafter(goal, -math.inf), goal)
+            if found < goal:
                 mask ^= 1 << b
                 continue
             proof = best | (1 << b)

@@ -126,6 +126,14 @@ def test_alpha_edgeless(tmp_path, monkeypatch, capsys):
     assert json.loads(out) == {"alpha": 4.0, "witness": [0, 1, 2, 3]}
 
 
+def test_alpha_past_64_vertices(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "g65.json"
+    path.write_text(serialize_graph(gnp(np.random.default_rng(65), 65, 0.3)))
+    code, out, _ = run_cli(["alpha", str(path)], capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 0
+    assert json.loads(out)["alpha"] == 12.0
+
+
 def test_extract_pentagon_roundtrips_through_verify(pentagon_file, tmp_path, monkeypatch, capsys):
     code, rep_doc, _ = run_cli(["extract", pentagon_file], capsys=capsys, monkeypatch=monkeypatch)
     assert code == 0

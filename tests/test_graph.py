@@ -289,15 +289,37 @@ def test_independence_bbc_is_27():
 def test_independence_edgeless_takes_everything():
     g = ExclusivityGraph(n=3, weights=np.array([1.0, 2.0, 3.0]), edges=())
     assert independence_number(g) == (6.0, (0, 1, 2))
-    # the deepest recursion either search can reach
+    # every vertex is forced at the root, so neither search branches
     g = ExclusivityGraph(n=64, weights=np.ones(64), edges=())
     assert independence_number(g) == (64.0, tuple(range(64)))
 
 
-def test_independence_capacity_error():
-    g = ExclusivityGraph(n=65, weights=np.ones(65), edges=())
-    with pytest.raises(ValueError, match="desk-scale"):
-        independence_number(g)
+@pytest.mark.parametrize("seed", range(3))
+def test_independence_adds_over_a_union_of_blocks(seed):
+    # disjoint blocks in index order: alpha adds up, and the witness is the
+    # blocks' witnesses, offset and concatenated (integer weights: exact sums)
+    rng = np.random.default_rng(seed)
+    edges, weights, alpha, witness = [], [], 0.0, ()
+    for _ in range(10):
+        size = int(rng.integers(8, 13))
+        block = gnp(rng, size, float(rng.uniform(0.2, 0.6)), rng.integers(1, 9, size).astype(float))
+        value, members = brute_force_independence(block)
+        offset = len(weights)
+        edges += [(i + offset, j + offset) for i, j in block.edges]
+        weights += block.weights.tolist()
+        alpha, witness = alpha + value, witness + tuple(v + offset for v in members)
+    g = ExclusivityGraph(n=len(weights), weights=weights, edges=edges)
+    assert g.n >= 80
+    assert independence_number(g) == (alpha, witness)
+
+
+def test_independence_search_depth_is_not_bounded_by_the_call_stack():
+    # 1,100 disjoint triangles: the main search branches once per triangle,
+    # far deeper than Python's recursion limit
+    m = 1100
+    edges = [(3 * t + a, 3 * t + b) for t in range(m) for a, b in ((0, 1), (0, 2), (1, 2))]
+    g = ExclusivityGraph(n=3 * m, weights=np.ones(3 * m), edges=edges)
+    assert independence_number(g) == (float(m), tuple(range(0, 3 * m, 3)))
 
 
 def test_independence_matches_brute_force_100_random():

@@ -23,6 +23,7 @@ from loorkit import (
     verify_rep,
     weight_objective,
 )
+from loorkit.loor import _checked_hermitian
 from util import random_complex_rep, random_unitary
 
 SQRT5 = float(np.sqrt(5.0))
@@ -507,3 +508,91 @@ def test_every_accepted_rep_roundtrips_bitwise(rep):
     assert back.handle.dtype == rep.handle.dtype and back.vectors.dtype == rep.vectors.dtype
     assert back.handle.tobytes() == rep.handle.tobytes()
     assert back.vectors.tobytes() == rep.vectors.tobytes()
+
+
+def test_herm_eig_weighted_ray_sum_is_flat():
+    # oracle: the weighted projector sum of the 21-ray complex instance is 29 I
+    inst = bbc21()
+    operator, _, _ = certify_operator(inst.complex_rep, inst.graph)
+    assert_allclose(operator, 29.0 * np.eye(3), atol=1e-12)
+    assert_allclose(np.linalg.eigvalsh(operator), [29.0, 29.0, 29.0], atol=1e-12)
+
+
+def test_herm_eig_rejects_non_hermitian():
+    # complex symmetric but not Hermitian: the check every eigensolve runs behind
+    with pytest.raises(ValueError, match="Hermitian"):
+        _checked_hermitian(np.array([[0.0, 1j], [1j, 0.0]]))
+
+
+# The Gram factorization X = Y^T Y of an SDP optimum is done inside
+# loor.rep_from_gram.  On an edgeless graph every unit-trace PSD X is
+# feasible, and the factor comes back from the representation as
+# Y = (sqrt(X_ii) v_i)_i, so these cases pin the factorization itself.
+
+
+def _edgeless(n):
+    return ExclusivityGraph(n=n, weights=np.ones(n), edges=())
+
+
+def _factor(rep, x):
+    return (np.sqrt(np.diag(x))[:, None] * rep.vectors).T
+
+
+def test_gram_factor_identity():
+    x = np.eye(2) / 2.0
+    rep = rep_from_gram(x, _edgeless(2))
+    assert rep.dim == 2
+    y = _factor(rep, x)
+    assert y.shape == (2, 2)
+    assert_allclose(y.T @ y, x, atol=1e-12)
+
+
+def test_gram_factor_identity_rows_carry_the_spectrum():
+    # row k of Y is sqrt(lambda_k) u_k^T, so its squared norm is lambda_k;
+    # a complex X is factored through its real part
+    x = np.eye(3, dtype=complex) / 3.0
+    rep = rep_from_gram(x, _edgeless(3))
+    assert rep.vectors.dtype == np.float64 and rep.handle.dtype == np.float64
+    y = _factor(rep, x.real)
+    assert_allclose(np.sum(y**2, axis=1), np.full(3, 1.0 / 3.0), atol=1e-14)
+
+
+def test_gram_factor_reconstructs_random_psd_with_orthogonal_rows():
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        a = rng.standard_normal((6, 6))
+        x = a @ a.T
+        x /= np.trace(x)
+        rep = rep_from_gram(x, _edgeless(6))
+        assert rep.dim == 6
+        y = _factor(rep, x)
+        assert np.max(np.abs(y.T @ y - x)) <= 1e-10
+        rows = y @ y.T
+        assert np.max(np.abs(rows - np.diag(np.diag(rows)))) <= 1e-10
+        assert_allclose(np.diag(rows), np.linalg.eigvalsh(x), atol=1e-10)
+
+
+def test_gram_factor_roundtrip_200_random_psd():
+    # X has rank r: its n - r zero eigenvalues are zeros of the
+    # construction, and on this seed every other one stands clear of the
+    # rank cutoff
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n = int(rng.integers(1, 31))
+        r = int(rng.integers(1, n + 1))
+        a = rng.standard_normal((n, r))
+        x = a @ a.T
+        x /= np.trace(x)
+        rep = rep_from_gram(x, _edgeless(n))
+        assert rep.dim == r
+        y = _factor(rep, x)
+        assert np.max(np.abs(y.T @ y - x)) <= 1e-10
+
+
+@pytest.mark.parametrize("tol", [float("nan"), True])
+def test_gram_factor_rejects_bad_psd_tol(tol):
+    # tol is the PSD refusal floor; a bad one is named before X, which is
+    # indefinite here, is factored
+    x = np.diag([0.5, 0.5 + 2e-6, -2e-6])
+    with pytest.raises(ValueError, match="^tol must be"):
+        rep_from_gram(x, _edgeless(3), tol=tol)

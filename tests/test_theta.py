@@ -6,6 +6,7 @@ from loorkit import (
     ExclusivityGraph,
     bbc21,
     gram_from_rep,
+    hermitize,
     independence_number,
     kcbs,
     lovasz_theta,
@@ -13,6 +14,7 @@ from loorkit import (
     weight_objective,
 )
 from loorkit import theta
+from loorkit.theta import psd_part
 from util import gnp, odd_cycle, odd_cycle_theta, phase_rotated, random_graph, report_cases
 
 
@@ -390,3 +392,71 @@ def test_rejects_bad_arguments():
     for max_iters in (0, 2.5, True):
         with pytest.raises(ValueError, match="max_iters"):
             lovasz_theta(g, max_iters=max_iters)
+
+
+def test_psd_project_clips_negative_diagonal():
+    assert_allclose(psd_part(np.diag([1.0, -1.0])), np.diag([1.0, 0.0]), atol=1e-14)
+
+
+def test_psd_project_fixes_psd_input():
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((5, 5))
+    m = a @ a.T
+    assert np.max(np.abs(psd_part(m) - m)) <= 1e-10 * max(1.0, np.max(np.abs(m)))
+
+
+def test_psd_project_matches_clipping_oracle_and_is_idempotent():
+    rng = np.random.default_rng(2)
+    for _ in range(25):
+        raw = rng.standard_normal((7, 7))
+        m = (raw + raw.T) / 2
+        p = psd_part(m)
+        assert p.dtype == np.float64
+        assert np.array_equal(p, p.T)
+        vals, vecs = np.linalg.eigh(m)
+        oracle = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+        assert np.max(np.abs(p - oracle)) <= 1e-10
+        assert np.max(np.abs(psd_part(p) - p)) <= 1e-10
+        assert np.linalg.eigvalsh(p)[0] >= -1e-10
+        h = hermitize(raw)
+        assert h.dtype == np.float64
+        assert np.array_equal(h, (raw + raw.T) / 2)
+
+
+@pytest.mark.parametrize("dtype", [float])
+@pytest.mark.parametrize("shift", [0.0, -1.0], ids=["zero", "negative-definite"])
+def test_psd_part_of_a_matrix_without_positive_eigenvalues_is_zero(shift, dtype):
+    m = np.eye(4, dtype=dtype) * shift
+    if shift:
+        m[0, 1] = m[1, 0] = 0.5
+    p = psd_part(m)
+    assert p.dtype == m.dtype
+    assert np.array_equal(p, np.zeros((4, 4)))
+
+
+def test_psd_part_drops_a_zero_eigenvalue():
+    # eigh sorts the spectrum to [-1, 0, 1]; the zero sits on the boundary
+    # of the kept positive suffix, and the result is exact either way
+    assert np.array_equal(psd_part(np.diag([0.0, 1.0, -1.0])), np.diag([0.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("n, shift", [(7, 0.0), (34, 9.0)], ids=["7-real", "34-real-definite"])
+def test_psd_part_is_bitwise_the_masked_recomposition(n, shift):
+    # the matrix is recomposed as B B^T, B = V sqrt(lambda) over the kept
+    # pairs: numpy hands that product to BLAS syrk, so it is bitwise
+    # symmetric, and it agrees with the masked recomposition V lambda V^T
+    # to roundoff
+    rng = np.random.default_rng(7)
+    raw = rng.standard_normal((n, n))
+    m = (raw + raw.T) / 2 + shift * np.eye(n)
+    values, vectors = np.linalg.eigh(m)
+    pos = values > 0.0
+    assert np.any(pos)
+    vp = vectors[:, pos]
+    q = (vp * values[pos]) @ vp.T
+    masked = (q + q.T) / 2.0
+    p = psd_part(m)
+    b = vp * np.sqrt(values[pos])
+    assert np.array_equal(p, b @ b.T)
+    assert np.array_equal(p, p.T)
+    assert np.max(np.abs(p - masked)) <= 1e-14 * np.max(np.abs(m))
