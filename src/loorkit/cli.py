@@ -195,7 +195,7 @@ _at_least_one = _checked(int, lambda k: k >= 1, "at least 1")
 
 
 def _add_solver_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=_positive, default=theta_mod.DEFAULT_TOL)
+    p.add_argument("--tol", type=_positive, default=graph_mod.DEFAULT_TOL)
     p.add_argument("--max-iters", type=_at_least_one, default=theta_mod.DEFAULT_MAX_ITERS)
 
 
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a representation against a graph")
     p.add_argument("rep_path", nargs="?", default="-")
     p.add_argument("--graph", required=True, help="graph file the representation claims")
-    p.add_argument("--tol", type=_positive, default=loor_mod.VERIFY_TOL)
+    p.add_argument("--tol", type=_positive, default=graph_mod.DEFAULT_TOL)
     p.add_argument("--target", type=_finite, default=None)
     p.add_argument("--sic", action="store_true", help="report the operator spectrum")
     p.set_defaults(func=_cmd_verify)

@@ -28,8 +28,12 @@ __all__ = [
 ]
 
 ORTHO_TOL = 1e-9  # orthogonality_graph's default edge threshold on |<v_i|v_j>|
-# absolute tolerance for accepting a vector as unit norm
-UNIT_TOL = 1e-8
+# the tol of every call and every --tol flag that is not given one
+DEFAULT_TOL = 1e-8
+# acceptance of input, the same in every layer: a vector is unit when
+# |norm - 1| <= INPUT_TOL, a matrix Hermitian when its deviation is at most
+# INPUT_TOL * max(1, max|A|)
+INPUT_TOL = 1e-8
 
 
 class GraphFormatError(ValueError):
@@ -255,7 +259,7 @@ def orthogonality_graph(vectors, weights=None, tol: float = ORTHO_TOL) -> Exclus
     """Graph with an edge (i, j) exactly when |<v_i|v_j>| <= tol.
 
     ``vectors`` is an (n, d) array (real or complex) of rows that are unit
-    within ``UNIT_TOL``; weights default to 1.  Inner products are
+    within ``INPUT_TOL``; weights default to 1.  Inner products are
     invariant under a common unitary, so the derived graph is too.
     """
     v = np.asarray(vectors)
@@ -263,7 +267,7 @@ def orthogonality_graph(vectors, weights=None, tol: float = ORTHO_TOL) -> Exclus
         raise ValueError(f"vectors must form an (n, d) array, got shape {v.shape}")
     _check_tol("tol", tol)
     deviation = _norm_deviation(v)
-    bad = np.flatnonzero(~(deviation <= UNIT_TOL))  # NaN is not unit either
+    bad = np.flatnonzero(~(deviation <= INPUT_TOL))  # NaN is not unit either
     if bad.size:
         k = int(bad[0])
         raise ValueError(f"vector {k} is not unit (norm deviation {float(deviation[k])!r})")

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (UNIT_TOL, ExclusivityGraph, _check_numbers, _check_tol, _is_int, _is_number,
-                    _load_document, _norm_deviation, max_edge_overlap)
+from .graph import (DEFAULT_TOL, INPUT_TOL, ExclusivityGraph, _check_numbers, _check_tol, _is_int,
+                    _is_number, _load_document, _norm_deviation, max_edge_overlap)
 
 __all__ = [
     "OrthRep",
@@ -37,12 +37,8 @@ __all__ = [
     "hermitize",
 ]
 
-SIC_TOL = 1e-8
-VERIFY_TOL = 1e-8  # verify_rep's default tolerance
 # rep_from_gram keeps the eigenvalues of X above RANK_TOL * lambda_max
 RANK_TOL = 1e-7
-# relative tolerance for accepting input as symmetric / Hermitian
-SYMMETRY_TOL = 1e-8
 
 
 class RepFormatError(ValueError):
@@ -81,7 +77,7 @@ class OrthRep:
     source: field, dim, the shapes, that every entry is a number (a real
     one in the real field; a bool or a string is refused, naming the
     entry), and that all vectors are finite and unit within
-    ``graph.UNIT_TOL``; orthogonality on edges is checked by verify_rep.
+    ``graph.INPUT_TOL``; orthogonality on edges is checked by verify_rep.
     ``handle`` and ``vectors`` are read-only copies, so a checked
     representation stays checked.
     """
@@ -109,7 +105,7 @@ class OrthRep:
         if not (np.all(np.isfinite(handle)) and np.all(np.isfinite(vectors))):
             raise ValueError("representation contains non-finite entries")
         worst = _max_norm_deviation(handle, vectors)
-        if worst > UNIT_TOL:
+        if worst > INPUT_TOL:
             raise ValueError(f"handle/vectors must be unit norm (worst deviation {worst:.3e})")
         if vectors.shape[0] == 0:
             raise ValueError("'vectors' must hold at least one vector, got none")
@@ -220,7 +216,7 @@ def rep_value(rep: OrthRep, g: ExclusivityGraph) -> float:
 def verify_rep(
     rep: OrthRep,
     g: ExclusivityGraph,
-    tol: float = VERIFY_TOL,
+    tol: float = DEFAULT_TOL,
     target: float | None = None,
     with_sic: bool = False,
 ) -> VerificationReport:
@@ -281,7 +277,7 @@ def _checked_hermitian(m) -> np.ndarray:
         raise ValueError("matrix must be finite and Hermitian, got non-finite entries")
     scale = max(1.0, float(np.max(np.abs(a))))
     dev = float(np.max(np.abs(a - a.conj().T)))
-    if dev > SYMMETRY_TOL * scale:
+    if dev > INPUT_TOL * scale:
         raise ValueError(f"matrix deviates from Hermitian (conjugate) symmetry by {dev:.3e}")
     return hermitize(a)
 
@@ -295,16 +291,16 @@ def gram_from_rep(rep: OrthRep, g: ExclusivityGraph) -> np.ndarray:
     the handle is an eigenvector of sum_i w_i |v_i><v_i|.
     """
     _check_aligned(rep, g)
-    s = rep_value(rep, g)
+    amp = rep.vectors @ rep.handle.conj()  # <psi|v_i>
+    s = float(np.dot(g.weights, np.abs(amp) ** 2))  # the achieved value, as rep_value has it
     if s <= 1e-12 * float(np.max(g.weights)):
         raise ValueError(f"degenerate representation: achieved value {s!r}")
-    amp = rep.vectors @ rep.handle.conj()  # <psi|v_i>
     scaled = (np.sqrt(g.weights) * np.conj(amp))[:, None] * rep.vectors
     x = scaled.conj() @ scaled.T / s
     return hermitize(x)
 
 
-def rep_from_gram(x, g: ExclusivityGraph, tol: float = 1e-6) -> OrthRep:
+def rep_from_gram(x, g: ExclusivityGraph, tol: float = DEFAULT_TOL) -> OrthRep:
     """Extract a real representation from a feasible optimum of the SDP.
 
     Factors X = Y^T Y from its eigenvalues above ``RANK_TOL * lambda_max``,
@@ -320,7 +316,7 @@ def rep_from_gram(x, g: ExclusivityGraph, tol: float = 1e-6) -> OrthRep:
     floor: X is refused when an eigenvalue lies below
     -tol * max(1, lambda_max), widened by n eps lambda_max of roundoff.
     Pass the tolerance X was solved at, so that X's own residuals are
-    accepted.
+    accepted; the default is the solver's, ``graph.DEFAULT_TOL``.
     """
     _check_tol("tol", tol)
     a = np.asarray(np.real(x), dtype=float)
@@ -370,9 +366,10 @@ def certify_operator(
 
     Returns (operator, spectrum ascending, sic) with
     operator = sum_i w_i |v_i><v_i|; sic is True exactly when the operator
-    is the top eigenvalue times the identity, within ``SIC_TOL * max(w)``
-    in max-norm (the operator scales with the weights), in which case the
-    achieved value is the same for every unit handle.
+    is the top eigenvalue times the identity, within
+    ``graph.DEFAULT_TOL * max(w)`` in max-norm (the operator scales with
+    the weights), in which case the achieved value is the same for every
+    unit handle.
     """
     _check_aligned(rep, g)
     m = rep.vectors.T @ (g.weights[:, None] * rep.vectors.conj())
@@ -380,4 +377,4 @@ def certify_operator(
     spectrum = np.linalg.eigh(operator)[0]
     lam_max = float(spectrum[-1])
     dev = float(np.max(np.abs(operator - lam_max * np.eye(rep.dim))))
-    return operator, spectrum, bool(dev <= SIC_TOL * float(np.max(g.weights)))
+    return operator, spectrum, bool(dev <= DEFAULT_TOL * float(np.max(g.weights)))

@@ -43,7 +43,7 @@ def block_embed(m) -> np.ndarray:
     """Embed Hermitian A + iB as the real symmetric block [[A, -B], [B, A]].
 
     The input must be square, nonempty, finite and Hermitian within
-    ``loor.SYMMETRY_TOL`` (relative).
+    ``graph.INPUT_TOL`` (relative).
     """
     h = _checked_hermitian(m)
     return np.block([[h.real, -h.imag], [h.imag, h.real]])

@@ -90,10 +90,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
-from .graph import ExclusivityGraph, _check_tol, _is_int
+from .graph import DEFAULT_TOL, ExclusivityGraph, _check_tol, _is_int
 
 __all__ = [
     "ThetaSolution",
@@ -102,7 +103,6 @@ __all__ = [
     "lovasz_theta_complex",
 ]
 
-DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITERS = 200_000
 CHECK_EVERY = 25  # iterations between bracket checks
 BALANCE_EVERY = 100  # iterations between residual-balancing steps
@@ -177,18 +177,17 @@ def _flat_edges(g: ExclusivityGraph) -> np.ndarray:
     return np.concatenate((ei * g.n + ej, ej * g.n + ei))
 
 
-def _affine_part(a: np.ndarray, edges: np.ndarray, diag: slice) -> np.ndarray:
+def _affine_part(a: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Project a contiguous square ``a`` in place onto the affine constraints.
 
-    ``edges`` are the flat indices of the edge entries (``_flat_edges``) and
-    ``diag`` the flat slice of the diagonal.  Closed form: zero both
-    triangles on every edge, then shift the diagonal by (1 - trace)/n.  The
-    two constraint families act on disjoint entries, so the composition is
-    the exact affine projection.
+    ``edges`` are the flat indices of the edge entries (``_flat_edges``).
+    Closed form: zero both triangles on every edge, then shift the diagonal
+    by (1 - trace)/n.  The two constraint families act on disjoint entries,
+    so the composition is the exact affine projection.
     """
     flat = a.reshape(-1)
     flat[edges] = 0.0
-    d = flat[diag]
+    d = flat[:: a.shape[0] + 1]
     d += (1.0 - float(d.sum())) / d.size
     return a
 
@@ -215,7 +214,6 @@ def lovasz_theta(
     scale = g.weight_sum
     w_obj = weight_objective(g) / scale  # unit trace
     edges = _flat_edges(g)
-    diag = slice(None, None, n + 1)
     rho = 1.0
     linear = w_obj / (2.0 * rho)
     t = np.eye(n) / n  # x = I/n, u = 0
@@ -224,20 +222,19 @@ def lovasz_theta(
     # each end of the bracket is widened by n eps sum(w): the order of the
     # roundoff in W . X and in lambda_max of a matrix of norm at most 1,
     # in the units of the weights
-    roundoff = n * np.finfo(float).eps * scale
+    roundoff = n * sys.float_info.epsilon * scale
 
     # Anderson state: the last accepted point with its PSD part, its image
     # g = T(t) = t + f, its step f (flat) and the step's norm; ring buffers
     # of the differences of accepted images and of accepted steps (row
     # ``slot`` is written next, the first ``count`` rows are filled), and
-    # the Gram matrix of the step differences with a copy of its diagonal,
-    # one row, column and diagonal entry updated per append
+    # the Gram matrix of the step differences, one row and column updated
+    # per append
     anchor = anchor_z = anchor_image = step = None
     step_norm = np.inf
     dgs = np.empty((ANDERSON_MEMORY, n * n))
     dfs = np.empty((ANDERSON_MEMORY, n * n))
     gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
-    gram_diag = np.empty(ANDERSON_MEMORY)
     eye = np.eye(ANDERSON_MEMORY)
     count = slot = 0
     extrapolated = False
@@ -261,7 +258,7 @@ def lovasz_theta(
         np.multiply(z, 2.0, out=affine)
         affine -= t
         affine += linear
-        f = _affine_part(affine, edges, diag) - z  # T(t) - t
+        f = _affine_part(affine, edges) - z  # T(t) - t
         f_flat = f.ravel()
         f_norm = math.sqrt(f_flat @ f_flat)
         # the safeguard's test: the extrapolated point did worse than the
@@ -281,7 +278,7 @@ def lovasz_theta(
             if edges.size:
                 primal = max(primal, float(np.max(np.abs(az.flat[edges]))))
             if primal <= tol or last:
-                x_report = _affine_part(az.copy(), edges, diag)
+                x_report = _affine_part(az.copy(), edges)
                 psd_resid = max(0.0, -float(np.linalg.eigvalsh(x_report)[0]))
                 value = scale * float(np.sum(w_obj * x_report))
                 lower = (value + psd_resid * scale) / (1.0 + n * psd_resid) - roundoff
@@ -327,14 +324,12 @@ def lovasz_theta(
             row = dfs[:count] @ dfs[slot]
             gram[slot, :count] = row
             gram[:count, slot] = row
-            gram_diag[slot] = row[slot]
             slot = (slot + 1) % ANDERSON_MEMORY
         anchor, anchor_z, anchor_image, step, step_norm = t, z, image, f_flat, f_norm
         t = image
         extrapolated = False
         if count:
-            # the normal matrix's trace, summed in np.trace's order
-            reg = ANDERSON_REG * float(gram_diag[:count].sum())
+            reg = ANDERSON_REG * float(gram[:count, :count].trace())
             if reg > 0.0:
                 normal = gram[:count, :count] + reg * eye[:count, :count]
                 gamma = np.linalg.solve(normal, dfs[:count] @ f_flat)

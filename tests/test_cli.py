@@ -1,7 +1,9 @@
 import argparse
 import importlib.util
+import inspect
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,8 +14,8 @@ import numpy as np
 import pytest
 
 from loorkit import (
-    ExclusivityGraph, OrthRep, bbc21, cli, independence_number, kcbs, loor, parse_graph,
-    parse_rep, serialize_graph, serialize_rep, verify_rep,
+    ExclusivityGraph, OrthRep, bbc21, cli, graph, independence_number, kcbs, loor, lovasz_theta,
+    parse_graph, parse_rep, rep_from_gram, serialize_graph, serialize_rep, verify_rep,
 )
 from util import gnp, random_unitary, report_cases
 
@@ -583,6 +585,25 @@ def test_text_format_renders(pentagon_file, monkeypatch, capsys):
     # a flat list renders as one line of space-separated floats
     assert len([float(x) for x in lines["per_vertex_overlap"].split(" ")]) == 5
     assert len([float(x) for x in lines["sic_spectrum"].split(" ")]) == 3
+    code, out, _ = run_cli(["theta", pentagon_file, "--format", "text"],
+                           capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 0
+    assert "np." not in out
+    lines = dict(line.split(": ", 1) for line in out.splitlines())
+    assert lines.pop("converged") == "True"
+    assert int(lines.pop("iterations")) >= 1
+    assert sorted(lines) == ["lower", "primal_residual", "psd_residual", "upper", "value"]
+    assert all(math.isfinite(float(text)) for text in lines.values())
+
+
+def test_every_default_tol_is_graph_default_tol():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    defaults = {f"{name} --tol": sub.choices[name].get_default("tol")
+                for name in ("theta", "extract", "verify")}
+    for fn in (lovasz_theta, verify_rep, rep_from_gram):
+        defaults[fn.__name__] = inspect.signature(fn).parameters["tol"].default
+    assert defaults == dict.fromkeys(defaults, graph.DEFAULT_TOL)
 
 
 def test_graph_document_roundtrip_through_cli(pentagon_file, monkeypatch, capsys):

@@ -24,7 +24,7 @@ from loorkit import (
     weight_objective,
 )
 from loorkit.loor import _checked_hermitian
-from util import random_complex_rep, random_unitary
+from util import odd_cycle, odd_cycle_theta, random_complex_rep, random_unitary
 
 SQRT5 = float(np.sqrt(5.0))
 
@@ -176,6 +176,7 @@ def test_gram_from_rep_is_scale_free(factor):
 def test_rep_from_gram_pentagon_optimum():
     inst = kcbs()
     sol = lovasz_theta(inst.graph)
+    assert sol.converged
     # independent rank oracle: three eigenvalues of the optimum stand
     # clear of the 1e-7-relative cutoff, the rest sit at solver noise
     eigenvalues = np.linalg.eigvalsh(sol.X)
@@ -184,14 +185,25 @@ def test_rep_from_gram_pentagon_optimum():
     assert rep.dim == 3
     assert abs(rep_value(rep, inst.graph) - SQRT5) <= 1e-5
     assert verify_rep(rep, inst.graph, tol=1e-6).passed
+    # with every tol left at its default, the optimum of a solve is accepted
+    # at the tol it was solved at, on every odd cycle from C5 to C15 too
+    for n in range(5, 16, 2):
+        g = odd_cycle(n)
+        sol = lovasz_theta(g)
+        assert sol.converged
+        rep = rep_from_gram(sol.X, g)
+        assert rep.dim == 3
+        assert verify_rep(rep, g, target=odd_cycle_theta(n)).passed
 
 
 def test_rep_from_gram_bbc_optimum():
     inst = bbc21()
     sol = lovasz_theta(inst.graph)
+    assert sol.converged
     rep = rep_from_gram(sol.X, inst.graph)
     assert abs(rep_value(rep, inst.graph) - 29.0) <= 1e-3
     assert verify_rep(rep, inst.graph, tol=1e-6).passed
+    assert verify_rep(rep, inst.graph, target=29.0).passed
 
 
 def _hermitian_optimum(inst):

@@ -52,6 +52,11 @@ def test_block_embed_rejects_non_hermitian():
             block_embed(np.array([[1.0, bad], [np.conj(bad), 1.0]]))
         with pytest.raises(ValueError, match="Hermitian"):
             block_embed(np.array([[bad]]))
+    for shape in ((2, 3), (3,)):
+        with pytest.raises(ValueError, match=r"must be square, got shape \(" + str(shape[0])):
+            block_embed(np.zeros(shape))
+    with pytest.raises(ValueError, match="must have size >= 1"):
+        block_embed(np.zeros((0, 0)))
 
 
 def test_block_embed_psd_equivalence_200_random():
