@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -63,6 +64,23 @@ def _float_types(types) -> bool:
     return all(issubclass(t, (float, np.floating, np.integer)) for t in types)
 
 
+def _walk(x, name: str, depth: int, need, index: tuple[int, ...] = ()) -> None:
+    """Raise naming the first entry ``depth`` lists deep in ``x`` that fails
+    ``need``, a pair (what, test), as "<where> must be <what>, got ...", or
+    the first entry above them that is not a list (or a tuple or an array,
+    which library calls may give)."""
+    where = name + "".join(f"[{k}]" for k in index) if index else f"'{name}'"
+    if depth == 0:
+        what, test = need
+        if not test(x):
+            raise ValueError(f"{where} must be {what}, got {x!r}")
+    elif not isinstance(x, (list, tuple, np.ndarray)):
+        raise ValueError(f"{where} must be a list, got {x!r}")
+    else:
+        for k, s in enumerate(x):
+            _walk(s, name, depth - 1, need, index + (k,))
+
+
 def _check_numbers(x, shape: tuple[int, ...], name: str, complex_ok: bool = False) -> None:
     """The one check of input numbers: refuse the first entry of ``x``, nested
     lists, tuples or arrays of ``shape``, that is not a real number (or a
@@ -78,14 +96,8 @@ def _check_numbers(x, shape: tuple[int, ...], name: str, complex_ok: bool = Fals
         entries = chain.from_iterable(entries)
     if _float_types(t for t in set(map(type, entries)) if not issubclass(t, extra)):
         return
-    number = "number" if complex_ok else "real number"
-    for index in np.ndindex(shape):
-        s = x
-        for k in index:
-            s = s[k]
-        if not (_is_number(s) or isinstance(s, extra)):
-            where = name + "".join(f"[{k}]" for k in index)
-            raise ValueError(f"{where} must be a {number}, got {s!r}")
+    number = "a number" if complex_ok else "a real number"
+    _walk(x, name, len(shape), (number, lambda s: _is_number(s) or isinstance(s, extra)))
 
 
 def _check_tol(name: str, value) -> None:
@@ -106,8 +118,8 @@ def _walk_edges(pairs, n: int) -> list[tuple[int, int]]:
     """The per-entry check: raise naming the first bad pair, else the int pairs."""
     out = []
     for k, pair in enumerate(pairs):
-        if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2
-                and _is_int(pair[0]) and _is_int(pair[1])):
+        sized = isinstance(pair, (tuple, list)) or (isinstance(pair, np.ndarray) and pair.ndim > 0)
+        if not (sized and len(pair) == 2 and _is_int(pair[0]) and _is_int(pair[1])):
             raise ValueError(f"edges[{k}] must be a pair of integers, got {pair!r}")
         i, j = int(pair[0]), int(pair[1])
         if not (0 <= i < n and 0 <= j < n):
@@ -135,6 +147,8 @@ def _bulk_edges(pairs) -> np.ndarray | None:
 
 def _edge_index(edges, n: int) -> np.ndarray:
     """Canonical, read-only (m, 2) intp index: rows i < j, ascending, no repeats."""
+    if (isinstance(edges, np.ndarray) and edges.ndim == 0) or not isinstance(edges, Iterable):
+        raise ValueError("'edges' must be a list of [i, j] pairs")
     pairs = edges if isinstance(edges, (list, tuple, np.ndarray)) else list(edges)
     e = _bulk_edges(pairs)
     if e is None or (e.size and (e.min() < 0 or e.max() >= n or np.any(e[:, 0] == e[:, 1]))):
@@ -283,9 +297,7 @@ def max_edge_overlap(vectors, g: ExclusivityGraph) -> float:
     """Largest |<v_i|v_j>| over the accepted edges (0.0 if edgeless)."""
     v = np.asarray(vectors)
     ei, ej = g.edge_arrays()
-    if ei.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.einsum("ij,ij->i", v[ei].conj(), v[ej]))))
+    return float(np.max(np.abs(np.einsum("ij,ij->i", v[ei].conj(), v[ej])), initial=0.0))
 
 
 def independence_number(g: ExclusivityGraph) -> tuple[float, tuple[int, ...]]:
@@ -371,7 +383,7 @@ def independence_number(g: ExclusivityGraph) -> tuple[float, tuple[int, ...]]:
                 top, best = acc, taken
                 if top >= goal:
                     break
-            if not mask or acc + cover_bound(mask) <= top:
+            if acc + cover_bound(mask) <= top:  # an empty mask too: acc <= top here
                 continue
             low = mask & -mask
             v = low.bit_length() - 1  # heaviest vertex left

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (DEFAULT_TOL, INPUT_TOL, ExclusivityGraph, _check_numbers, _check_tol, _is_int,
-                    _is_number, _load_document, _norm_deviation, max_edge_overlap)
+                    _is_number, _load_document, _norm_deviation, _walk, max_edge_overlap)
 
 __all__ = [
     "OrthRep",
@@ -131,20 +131,6 @@ class VerificationReport:
     sic: bool | None = None
 
 
-def _walk_pairs(x, name: str, depth: int, index: tuple[int, ...] = ()) -> None:
-    """Raise naming the first entry ``depth`` lists deep in ``x`` that is not
-    an [re, im] pair, or the first entry above them that is not a list."""
-    where = name + "".join(f"[{k}]" for k in index) if index else f"'{name}'"
-    if depth == 0:
-        if not (isinstance(x, list) and len(x) == 2 and not any(isinstance(c, list) for c in x)):
-            raise ValueError(f"{where} must be a [re, im] pair, got {x!r}")
-    elif not isinstance(x, list):
-        raise ValueError(f"{where} must be a list, got {x!r}")
-    else:
-        for k, s in enumerate(x):
-            _walk_pairs(s, name, depth - 1, index + (k,))
-
-
 def _from_pairs(x, name: str, depth: int) -> np.ndarray:
     """The [re, im] pairs ``depth`` lists deep in a complex document's field
     ``name`` as complex values: the pairs' shape is checked in bulk, their
@@ -156,7 +142,8 @@ def _from_pairs(x, name: str, depth: int) -> np.ndarray:
     if a is not None and a.size == 0:
         return a.astype(complex)  # the constructor refuses it by its shape
     if a is None or a.shape[depth:] != (2,):
-        _walk_pairs(x, name, depth)
+        _walk(x, name, depth, ("a [re, im] pair", lambda s: (
+            isinstance(s, list) and len(s) == 2 and not any(isinstance(c, list) for c in s))))
         raise ValueError(f"'{name}' must have rows of one length, got ragged rows")
     _check_numbers(x, a.shape, name)
     return np.asarray(a, dtype=float).view(complex)[..., 0]
@@ -324,7 +311,7 @@ def rep_from_gram(x, g: ExclusivityGraph, tol: float = DEFAULT_TOL) -> OrthRep:
         raise ValueError(f"expected a {g.n} x {g.n} matrix, got shape {a.shape}")
     tr_dev = abs(float(np.trace(a)) - 1.0)
     ei, ej = g.edge_arrays()
-    edge_dev = float(np.max(np.abs(a[ei, ej]))) if ei.size else 0.0
+    edge_dev = float(np.max(np.abs(a[ei, ej]), initial=0.0))
     if max(tr_dev, edge_dev) > tol:
         raise ValueError(
             f"matrix is not feasible: trace deviation {tr_dev:.3e}, "

@@ -7,7 +7,8 @@ map M that stacks a complex vector's real parts over its imaginary parts.
 M intertwines the two: block_embed(P) @ M(x) == M(P @ x).
 
 Both constructions are one kernel, the real-over-imaginary stack of the
-phase-aligned vectors:
+phase-aligned vectors, each v_i rephased so that <psi|v_i> is real and
+nonnegative:
 
 * ``projector_realify`` (dimension 2d) is that stack.  It equals the
   operator construction, which compresses each embedded rank-2 projector
@@ -33,7 +34,6 @@ from .loor import OrthRep, _check_aligned, _checked_hermitian
 __all__ = [
     "block_embed",
     "realify_map_M",
-    "phase_align",
     "projector_realify",
     "vector_realify",
 ]
@@ -64,19 +64,6 @@ def realify_map_M(v) -> np.ndarray:
     return np.concatenate([a.real, a.imag], axis=-1)
 
 
-def phase_align(rep: OrthRep) -> OrthRep:
-    """Rephase each vector so its handle overlap is real and nonnegative.
-
-    Multiplying v_i by the unit phase conj(<psi|v_i>)/|<psi|v_i>| leaves
-    every |<psi|v_i>|^2 and every pairwise |<v_i|v_j>| unchanged.  Vectors
-    with vanishing overlap (below 1e-12) are left as they are.
-    """
-    amp = rep.vectors @ rep.handle.conj()
-    mag = np.abs(amp)
-    phase = np.where(mag > 1e-12, np.conj(amp) / np.where(mag > 1e-12, mag, 1.0), 1.0)
-    return OrthRep("complex", rep.dim, rep.handle, phase[:, None] * rep.vectors)
-
-
 def projector_realify(rep: OrthRep, g: ExclusivityGraph) -> OrthRep:
     """Operator-side conversion of a complex representation to dimension 2d.
 
@@ -84,14 +71,18 @@ def projector_realify(rep: OrthRep, g: ExclusivityGraph) -> OrthRep:
     onto the rank-1 state a a^T / 2 is Q_i a a^T Q_i / (a^T Q_i a), the
     outer product of Q_i a / |Q_i a| = M(phase * v_i) with the phase that
     makes <psi|v_i> real and nonnegative.  So the output handle is M(psi)
-    and output vector i is M of the phase-aligned v_i.  A vector orthogonal
-    to the handle is left unrotated: any unit vector in range(Q_i) keeps
+    and output vector i is M of the phase-aligned v_i: v_i times the unit
+    phase conj(<psi|v_i>)/|<psi|v_i>|, which leaves every |<psi|v_i>|^2
+    and every |<v_i|v_j>| unchanged.  A vector whose handle overlap is
+    below 1e-12 is left unrotated: any unit vector in range(Q_i) keeps
     every orthogonality and contributes nothing to the value.
     """
     _check_aligned(rep, g)
-    aligned = phase_align(rep)
-    return OrthRep("real", 2 * aligned.dim, realify_map_M(aligned.handle),
-                   realify_map_M(aligned.vectors))
+    amp = rep.vectors @ rep.handle.conj()
+    mag = np.abs(amp)
+    phase = np.where(mag > 1e-12, np.conj(amp) / np.where(mag > 1e-12, mag, 1.0), 1.0)
+    return OrthRep("real", 2 * rep.dim, realify_map_M(rep.handle),
+                   realify_map_M(phase[:, None] * rep.vectors))
 
 
 def vector_realify(rep: OrthRep, g: ExclusivityGraph) -> OrthRep:

@@ -274,9 +274,8 @@ def lovasz_theta(
                 # a report must not come from a point the safeguard rejects:
                 # read the last accepted one
                 at, az = anchor, anchor_z
-            primal = abs(float(az.trace()) - 1.0)
-            if edges.size:
-                primal = max(primal, float(np.max(np.abs(az.flat[edges]))))
+            primal = max(abs(float(az.trace()) - 1.0),
+                         float(np.max(np.abs(az.flat[edges]), initial=0.0)))
             if primal <= tol or last:
                 x_report = _affine_part(az.copy(), edges)
                 psd_resid = max(0.0, -float(np.linalg.eigvalsh(x_report)[0]))
@@ -328,13 +327,12 @@ def lovasz_theta(
         anchor, anchor_z, anchor_image, step, step_norm = t, z, image, f_flat, f_norm
         t = image
         extrapolated = False
-        if count:
-            reg = ANDERSON_REG * float(gram[:count, :count].trace())
-            if reg > 0.0:
-                normal = gram[:count, :count] + reg * eye[:count, :count]
-                gamma = np.linalg.solve(normal, dfs[:count] @ f_flat)
-                t = image - (gamma @ dgs[:count]).reshape(n, n)
-                extrapolated = True
+        reg = ANDERSON_REG * float(gram[:count, :count].trace())  # 0 with no memory
+        if reg > 0.0:
+            normal = gram[:count, :count] + reg * eye[:count, :count]
+            gamma = np.linalg.solve(normal, dfs[:count] @ f_flat)
+            t = image - (gamma @ dgs[:count]).reshape(n, n)
+            extrapolated = True
 
     return ThetaSolution(
         X=x_report,

@@ -110,10 +110,16 @@ def test_parse_errors_name_the_field(doc, fragment):
         (lambda: OrthRep("real", 2, [1, 0], [[1, 0], [1]]),
          r"'vectors' must have shape \(n, 2\), got ragged rows"),
         (lambda: OrthRep("real", 2, [1, [0]], [[1, 0]]), r"'handle' must have length 2, got ragged rows"),
+        # not iterable, or a 0-d array: parse_graph's message, not a TypeError
+        *((lambda e=e: ExclusivityGraph(3, [1, 1, 1], e),
+           r"^'edges' must be a list of \[i, j\] pairs$") for e in (None, 5, 1.5, np.array(5))),
+        (lambda: ExclusivityGraph(3, [1, 1, 1], [np.array(5)]),
+         r"^edges\[0\] must be a pair of integers, got array\(5\)$"),
     ],
     ids=["float-endpoint", "bool-n", "bool-weights", "bool-dim", "weights-shape", "vectors-shape",
          "string-entries", "bool-handle", "numpy-bool-vector", "complex-array-in-real",
-         "complex-list-in-real", "bool-array-in-complex", "ragged-vectors", "ragged-handle"],
+         "complex-list-in-real", "bool-array-in-complex", "ragged-vectors", "ragged-handle",
+         "none-edges", "int-edges", "float-edges", "0-d-edges", "0-d-edge"],
 )
 def test_constructors_reject_bad_fields(make, fragment):
     # the constructors are the validators, so library callers get the same

@@ -5,7 +5,7 @@ PUBLIC = [
     "ThetaSolution", "VerificationReport", "__version__", "all_instances", "bbc21",
     "block_embed", "certify_operator", "gram_from_rep", "hermitize", "independence_number",
     "kcbs", "lovasz_theta", "lovasz_theta_complex", "max_edge_overlap", "orthogonality_graph",
-    "parse_graph", "parse_rep", "phase_align", "projector_realify", "realify_map_M",
+    "parse_graph", "parse_rep", "projector_realify", "realify_map_M",
     "rep_from_gram", "rep_value", "serialize_graph", "serialize_rep", "vector_realify",
     "verify_rep", "weight_objective",
 ]

@@ -66,3 +66,16 @@ def test_readme_alpha_example_matches_the_cli(tmp_path, capsys):
     path.write_text(serialize_graph(bbc21().graph))
     assert cli.main(["alpha", str(path)]) == 0
     assert json.loads(capsys.readouterr().out) == {"alpha": 27.0, "witness": list(range(9))}
+
+
+def test_readme_orthograph_example_rebuilds_the_graph(tmp_path, capsys):
+    # extract bbc.json > rep.json, then orthograph rep.json with the
+    # documented weights: the derived graph is the instance graph again
+    readme = (ROOT / "README.md").read_text()
+    documented = readme.split("loorkit orthograph rep.json", 1)[1].split("\n", 1)[0].split()
+    graph, rep = tmp_path / "bbc.json", tmp_path / "rep.json"
+    assert cli.main(["instance", "bbc21", "--what", "graph", "--output", str(graph)]) == 0
+    assert cli.main(["extract", str(graph)]) == 0
+    rep.write_text(capsys.readouterr().out)
+    assert cli.main(["orthograph", str(rep), *documented]) == 0
+    assert capsys.readouterr().out == graph.read_text()

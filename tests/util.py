@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 
 import numpy as np
@@ -241,9 +242,12 @@ def oracle_graph(n, w, edges) -> tuple[int, np.ndarray, tuple[tuple[int, int], .
         math.fsum(w)
     except OverflowError:
         raise ValueError(f"'weights' must sum to at most {sys.float_info.max!r}") from None
+    if (isinstance(edges, np.ndarray) and edges.ndim == 0) or not isinstance(edges, Iterable):
+        raise ValueError("'edges' must be a list of [i, j] pairs")
     canonical = set()
     for k, pair in enumerate(edges):
-        if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2
+        sized = isinstance(pair, (tuple, list)) or (isinstance(pair, np.ndarray) and pair.ndim > 0)
+        if not (sized and len(pair) == 2
                 and _oracle_is_int(pair[0]) and _oracle_is_int(pair[1])):
             raise ValueError(f"edges[{k}] must be a pair of integers, got {pair!r}")
         i, j = int(pair[0]), int(pair[1])
