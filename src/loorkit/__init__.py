@@ -1,7 +1,8 @@
 """Weighted Lovász numbers, optimal orthogonal representations, and
 complex-to-real conversion for exclusivity graphs."""
 
-from . import graph, instances, loor, realify, theta
+from . import alpha, graph, instances, loor, realify, theta
+from .alpha import *
 from .graph import *
 from .instances import *
 from .loor import *
@@ -11,6 +12,7 @@ from .theta import *
 __version__ = "0.1.0"
 
 __all__ = [
+    *alpha.__all__,
     *graph.__all__,
     *instances.__all__,
     *loor.__all__,

@@ -18,6 +18,7 @@ import sys
 
 import numpy as np
 
+from . import alpha as alpha_mod
 from . import graph as graph_mod
 from . import instances as instances_mod
 from . import loor as loor_mod
@@ -87,7 +88,7 @@ def _cmd_theta(args) -> int:
 
 def _cmd_alpha(args) -> int:
     g = graph_mod.parse_graph(_read_text(args.graph_path))
-    alpha, witness = graph_mod.independence_number(g)
+    alpha, witness = alpha_mod.independence_number(g)
     _emit(_render({"alpha": alpha, "witness": list(witness)}, args), args)
     return EXIT_OK
 
@@ -153,8 +154,8 @@ def _cmd_orthograph(args) -> int:
             raise ValueError(f"--weights must be comma-separated numbers: {exc}") from exc
     else:
         weights = None
-    g = graph_mod.orthogonality_graph(rep.vectors, weights, tol=args.ortho_tol)
-    worst = graph_mod.max_edge_overlap(rep.vectors, g)
+    g = loor_mod.orthogonality_graph(rep.vectors, weights, tol=args.ortho_tol)
+    worst = loor_mod.max_edge_overlap(rep.vectors, g)
     print(f"orthogonality threshold {args.ortho_tol!r}, "
           f"max accepted-edge overlap {worst!r}", file=sys.stderr)
     _emit(graph_mod.serialize_graph(g, indent=2), args)
@@ -240,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orthograph", help="derive the exclusivity graph of a vector file")
     p.add_argument("rep_path", nargs="?", default="-")
     p.add_argument("--weights", default=None, help="comma-separated vertex weights")
-    p.add_argument("--ortho-tol", type=_positive, default=graph_mod.ORTHO_TOL, dest="ortho_tol")
+    p.add_argument("--ortho-tol", type=_positive, default=loor_mod.ORTHO_TOL, dest="ortho_tol")
     p.set_defaults(func=_cmd_orthograph)
 
     p = sub.add_parser("instance", help="emit a built-in instance document")

@@ -1,5 +1,9 @@
-"""Exclusivity graphs: data model, JSON wire format, derivation from vector
-families, and the exact weighted independence number (the classical bound).
+"""Exclusivity graphs: the data model, its JSON wire format, and the input
+rules that every module shares.  Those rules are the number, edge and tol
+checks, the document loader, the tol of every call not given one
+(``DEFAULT_TOL``) and the one tolerance that decides whether input is
+accepted (``INPUT_TOL``).  Nothing here takes vectors or searches: vector
+measures are in ``loor``, the independence number in ``alpha``.
 
 Wire format (UTF-8 JSON, 0-based vertices, edges canonical i < j ascending;
 ``parse_graph`` decodes it, the ``ExclusivityGraph`` constructor validates it)::
@@ -23,12 +27,8 @@ __all__ = [
     "GraphFormatError",
     "parse_graph",
     "serialize_graph",
-    "orthogonality_graph",
-    "max_edge_overlap",
-    "independence_number",
 ]
 
-ORTHO_TOL = 1e-9  # orthogonality_graph's default edge threshold on |<v_i|v_j>|
 # the tol of every call and every --tol flag that is not given one
 DEFAULT_TOL = 1e-8
 # acceptance of input, the same in every layer: a vector is unit when
@@ -104,14 +104,6 @@ def _check_tol(name: str, value) -> None:
     """Refuse a tolerance that is a bool or not a positive, finite number."""
     if isinstance(value, (bool, np.bool_)) or not (value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
-def _norm_deviation(v) -> np.ndarray:
-    """|norm - 1| of a vector, or of each row of an (n, d) array; inf on overflow."""
-    a = np.asarray(v)
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(a) if a.ndim == 1 else np.linalg.norm(a, axis=1)
-    return np.abs(norms - 1.0)
 
 
 def _walk_edges(pairs, n: int) -> list[tuple[int, int]]:
@@ -236,10 +228,23 @@ class ExclusivityGraph:
 
 
 def _load_document(text: str, name: str, fields: tuple[str, ...], error: type[ValueError]) -> dict:
-    """Decode a JSON object holding exactly ``fields``; raise ``error`` if it does not."""
+    """Decode a JSON object holding exactly ``fields``, each key once; raise
+    ``error`` if it does not."""
+    def unique_keys(pairs: list) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise error(f"duplicate key {key!r}")
+            doc[key] = value
+        return doc
+
     try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: too deeply nested
+        doc = json.loads(text, object_pairs_hook=unique_keys)
+    except error:  # a repeated key
+        raise
+    # ValueError also covers an integer literal past Python's int-string
+    # digit limit; RecursionError is nesting too deep to decode
+    except (ValueError, RecursionError) as exc:
         raise error(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{name} document must be a JSON object")
@@ -267,155 +272,3 @@ def serialize_graph(g: ExclusivityGraph, indent: int | None = None) -> str:
     """Canonical JSON document; parse_graph(serialize_graph(g)) == g."""
     doc = {"n": g.n, "weights": g.weights.tolist(), "edges": g._index.tolist()}
     return json.dumps(doc, indent=indent)
-
-
-def orthogonality_graph(vectors, weights=None, tol: float = ORTHO_TOL) -> ExclusivityGraph:
-    """Graph with an edge (i, j) exactly when |<v_i|v_j>| <= tol.
-
-    ``vectors`` is an (n, d) array (real or complex) of rows that are unit
-    within ``INPUT_TOL``; weights default to 1.  Inner products are
-    invariant under a common unitary, so the derived graph is too.
-    """
-    v = np.asarray(vectors)
-    if v.ndim != 2:
-        raise ValueError(f"vectors must form an (n, d) array, got shape {v.shape}")
-    _check_tol("tol", tol)
-    deviation = _norm_deviation(v)
-    bad = np.flatnonzero(~(deviation <= INPUT_TOL))  # NaN is not unit either
-    if bad.size:
-        k = int(bad[0])
-        raise ValueError(f"vector {k} is not unit (norm deviation {float(deviation[k])!r})")
-    n = v.shape[0]
-    if weights is None:
-        weights = np.ones(n)
-    overlaps = np.abs(v.conj() @ v.T)
-    edges = np.argwhere(np.triu(overlaps <= tol, 1))
-    return ExclusivityGraph(n=n, weights=weights, edges=edges)
-
-
-def max_edge_overlap(vectors, g: ExclusivityGraph) -> float:
-    """Largest |<v_i|v_j>| over the accepted edges (0.0 if edgeless)."""
-    v = np.asarray(vectors)
-    ei, ej = g.edge_arrays()
-    return float(np.max(np.abs(np.einsum("ij,ij->i", v[ei].conj(), v[ej])), initial=0.0))
-
-
-def independence_number(g: ExclusivityGraph) -> tuple[float, tuple[int, ...]]:
-    """Maximum-weight independent set, up to a 1e-9 tie floor: (alpha, witness).
-
-    One branch-and-bound search, on bitset adjacency with a greedy weighted
-    clique cover as the pruning bound.  The bitsets label the vertices
-    heaviest first (ties by index), so the lowest set bit of a mask is its
-    heaviest vertex.  The cover takes one clique at a time: it takes the
-    lowest bit, counts its weight for the whole clique, and peels common
-    neighbours (lowest first) until none are left; an independent set
-    takes at most one vertex per clique.  Before bounding, the search takes
-    every forced vertex: one with no neighbour left, or with exactly one
-    neighbour no heavier than itself (some maximum set contains it, since
-    that set can trade the neighbour for it).  A node checks only the
-    vertices whose neighbourhood changed since its parent's check left none
-    forced: the neighbours of the removed neighbours after taking a vertex,
-    the neighbours of a vertex after dropping it.  It then branches on the
-    heaviest vertex left, taking it first.  Open nodes are frames on an
-    explicit stack, not nested calls, so only the number of search nodes
-    limits the graph size.  The search records the set behind its
-    incumbent and returns as soon as the incumbent reaches its goal.
-
-    Run with no goal, it finds the maximum weight.  The witness walks the
-    original vertex indices in ascending order and keeps vertex k exactly
-    when the same search, with goal that maximum less 1e-9 (relative),
-    finds a set holding k and the vertices kept so far.  The walk holds the
-    last set found to reach the goal (first the one behind the maximum); a
-    vertex in it, or with no neighbour left, is kept without a search.  So
-    the witness is the lexicographically smallest set within 1e-9 (relative)
-    of the maximum, and alpha is its weight, a correctly rounded sum
-    (math.fsum): on an edge weighted 1 and 1 + 1e-10 it is (1.0, (0,)).
-    """
-    n = g.n
-    w = [float(x) for x in g.weights]
-    order = sorted(range(n), key=lambda v: (-w[v], v))  # vertex at each label
-    label = [0] * n
-    for b, v in enumerate(order):
-        label[v] = b
-    wt = [w[v] for v in order]
-    adj = [0] * n
-    for i, j in g.edges:
-        adj[label[i]] |= 1 << label[j]
-        adj[label[j]] |= 1 << label[i]
-    closed = [adj[b] | (1 << b) for b in range(n)]
-
-    def cover_bound(mask: int) -> float:
-        ub = 0.0
-        while mask:
-            low = mask & -mask
-            u = low.bit_length() - 1
-            ub += wt[u]
-            mask ^= low
-            common = mask & adj[u]
-            while common:
-                low = common & -common
-                mask ^= low
-                common &= adj[low.bit_length() - 1]
-        return ub
-
-    # the last incumbent above top and its set, returned once it reaches goal;
-    # a frame (mask, acc, taken, rest) keeps in rest the vertices whose
-    # neighbourhood in mask changed since the parent's pass left none forced
-    def search(mask: int, acc: float, top: float, goal: float) -> tuple[float, int]:
-        best, stack = 0, [(mask, acc, 0, mask)]
-        while stack:
-            mask, acc, taken, rest = stack.pop()
-            while rest:  # take forced vertices; a take rechecks what it touched
-                low = rest & -rest
-                rest ^= low
-                v = low.bit_length() - 1
-                nb = adj[v] & mask
-                if not nb:
-                    mask ^= low
-                    acc += wt[v]
-                    taken |= low
-                elif not nb & (nb - 1) and wt[nb.bit_length() - 1] <= wt[v]:
-                    mask &= ~(low | nb)
-                    acc += wt[v]
-                    taken |= low
-                    rest = (rest | adj[nb.bit_length() - 1]) & mask
-            if acc > top:
-                top, best = acc, taken
-                if top >= goal:
-                    break
-            if acc + cover_bound(mask) <= top:  # an empty mask too: acc <= top here
-                continue
-            low = mask & -mask
-            v = low.bit_length() - 1  # heaviest vertex left
-            nb = rest = adj[v] & mask
-            touched = 0
-            while rest:
-                u = rest & -rest
-                rest ^= u
-                touched |= adj[u.bit_length() - 1]
-            child = mask & ~closed[v]
-            stack.append((mask ^ low, acc, taken, nb))  # exclude v: popped second
-            stack.append((child, acc + wt[v], taken | low, touched & child))
-        return top, best
-
-    mask = (1 << n) - 1
-    top, proof = search(mask, 0.0, 0.0, math.inf)
-    goal = top - 1e-9 * top  # the tie floor; top > 0
-    # invariant: the kept vertices and proof & mask form a set reaching goal
-    acc, witness = 0.0, []
-    for k in range(n):
-        b = label[k]
-        if not (mask >> b) & 1:
-            continue
-        if adj[b] & mask and not (proof >> b) & 1:
-            child = mask & ~closed[b]
-            # start just below goal: also prunes what cannot reach goal
-            found, best = search(child, acc + w[k], math.nextafter(goal, -math.inf), goal)
-            if found < goal:
-                mask ^= 1 << b
-                continue
-            proof = best | (1 << b)
-        mask &= ~closed[b]
-        acc += w[k]
-        witness.append(k)
-    return float(math.fsum(w[v] for v in witness)), tuple(witness)

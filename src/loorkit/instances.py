@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ExclusivityGraph, orthogonality_graph
-from .loor import OrthRep
+from .graph import ExclusivityGraph
+from .loor import OrthRep, orthogonality_graph
 
 __all__ = ["NamedInstance", "all_instances", "kcbs", "bbc21"]
 

@@ -1,4 +1,6 @@
-"""Orthogonal representations with a handle vector: the achieved-value
+"""Orthogonal representations with a handle vector, and every measure on
+vectors: the unit-norm rule, the |<v_i|v_j>| that derives a graph from a
+vector family and checks a representation's edges, the achieved-value
 functional, verification, the representation <-> Gram-matrix bridges, and
 the operator certificate for state-independence.
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (DEFAULT_TOL, INPUT_TOL, ExclusivityGraph, _check_numbers, _check_tol, _is_int,
-                    _is_number, _load_document, _norm_deviation, _walk, max_edge_overlap)
+                    _is_number, _load_document, _walk)
 
 __all__ = [
     "OrthRep",
@@ -31,6 +33,8 @@ __all__ = [
     "serialize_rep",
     "rep_value",
     "verify_rep",
+    "orthogonality_graph",
+    "max_edge_overlap",
     "gram_from_rep",
     "rep_from_gram",
     "certify_operator",
@@ -39,6 +43,7 @@ __all__ = [
 
 # rep_from_gram keeps the eigenvalues of X above RANK_TOL * lambda_max
 RANK_TOL = 1e-7
+ORTHO_TOL = 1e-9  # orthogonality_graph's default edge threshold on |<v_i|v_j>|
 
 
 class RepFormatError(ValueError):
@@ -50,6 +55,14 @@ def _field_dtype(field) -> type:
     if field not in ("real", "complex"):
         raise ValueError(f"'field' must be 'real' or 'complex', got {field!r}")
     return complex if field == "complex" else float
+
+
+def _norm_deviation(v) -> np.ndarray:
+    """|norm - 1| of a vector, or of each row of an (n, d) array; inf on overflow."""
+    a = np.asarray(v)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(a) if a.ndim == 1 else np.linalg.norm(a, axis=1)
+    return np.abs(norms - 1.0)
 
 
 def _max_norm_deviation(handle: np.ndarray, vectors: np.ndarray) -> float:
@@ -198,6 +211,37 @@ def rep_value(rep: OrthRep, g: ExclusivityGraph) -> float:
     """Achieved value sum_i w_i |<psi|v_i>|^2 of a representation."""
     _check_aligned(rep, g)
     return float(np.dot(g.weights, _overlaps(rep)))
+
+
+def orthogonality_graph(vectors, weights=None, tol: float = ORTHO_TOL) -> ExclusivityGraph:
+    """Graph with an edge (i, j) exactly when |<v_i|v_j>| <= tol.
+
+    ``vectors`` is an (n, d) array (real or complex) of rows that are unit
+    within ``INPUT_TOL``; weights default to 1.  Inner products are
+    invariant under a common unitary, so the derived graph is too.
+    """
+    v = np.asarray(vectors)
+    if v.ndim != 2:
+        raise ValueError(f"vectors must form an (n, d) array, got shape {v.shape}")
+    _check_tol("tol", tol)
+    deviation = _norm_deviation(v)
+    bad = np.flatnonzero(~(deviation <= INPUT_TOL))  # NaN is not unit either
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"vector {k} is not unit (norm deviation {float(deviation[k])!r})")
+    n = v.shape[0]
+    if weights is None:
+        weights = np.ones(n)
+    overlaps = np.abs(v.conj() @ v.T)
+    edges = np.argwhere(np.triu(overlaps <= tol, 1))
+    return ExclusivityGraph(n=n, weights=weights, edges=edges)
+
+
+def max_edge_overlap(vectors, g: ExclusivityGraph) -> float:
+    """Largest |<v_i|v_j>| over the accepted edges (0.0 if edgeless)."""
+    v = np.asarray(vectors)
+    ei, ej = g.edge_arrays()
+    return float(np.max(np.abs(np.einsum("ij,ij->i", v[ei].conj(), v[ej])), initial=0.0))
 
 
 def verify_rep(

@@ -81,6 +81,9 @@ def test_parse_single_vertex():
         pytest.param("[" * 100_000, "malformed", id="deeply-nested-malformed"),
         ('{"n": 2, "weights": [1e308, 1e308], "edges": []}', "'weights'"),
         ('{"n": 2, "weights": [1, 1], "edges": {}}', r"'edges' must be a list of \[i, j\] pairs"),
+        ('{"n": 2, "weights": [1, 1], "edges": [[0, 1]], "edges": []}', "duplicate key 'edges'"),
+        pytest.param('{"n": 1' + "0" * 4999 + ', "weights": [1], "edges": []}',
+                     "malformed JSON: .*integer string conversion", id="5000-digit-int"),
     ],
 )
 def test_parse_errors_name_the_field(doc, fragment):

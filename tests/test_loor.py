@@ -457,6 +457,10 @@ def test_rep_json_complex_scalars_are_pairs():
         ('{"field": "real", "dim": 1, "handle": [1.0], "vectors": [], "x": 0}', "unknown"),
         ("[1, 2]", "object"),
         pytest.param("[" * 100_000, "malformed", id="deeply-nested-malformed"),
+        ('{"field": "real", "dim": 1, "dim": 1, "handle": [1.0], "vectors": [[1.0]]}',
+         "duplicate key 'dim'"),
+        pytest.param('{"field": "real", "dim": 1' + "0" * 4999 + ', "handle": [1.0], "vectors": []}',
+                     "malformed JSON: .*integer string conversion", id="5000-digit-int"),
     ],
 )
 def test_rep_parse_errors(doc, fragment):
