@@ -7,6 +7,10 @@ non-convergence.  Output is JSON by default (floats serialized
 with shortest round-trip representation, so identical runs are
 byte-identical); ``--format text`` renders the reports of ``theta``,
 ``alpha`` and ``verify`` as small human tables.
+
+Each command imports only the modules it calls, and the flag defaults
+owned by a module (``--max-iters``, ``--ortho-tol``) are read from it
+once the command has imported it.
 """
 
 from __future__ import annotations
@@ -18,12 +22,7 @@ import sys
 
 import numpy as np
 
-from . import alpha as alpha_mod
 from . import graph as graph_mod
-from . import instances as instances_mod
-from . import loor as loor_mod
-from . import realify as realify_mod
-from . import theta as theta_mod
 
 __all__ = ["main", "run"]
 
@@ -67,10 +66,19 @@ def _report_unconverged(sol, args) -> None:
           f"{missed} above tol {args.tol!r}", file=sys.stderr)
 
 
+def _solve(g, args):
+    """The capped solve of ``theta`` and ``extract``; without --max-iters, the solver's cap."""
+    from . import theta as theta_mod
+
+    if args.max_iters is None:
+        args.max_iters = theta_mod.DEFAULT_MAX_ITERS
+    return theta_mod.lovasz_theta(g, tol=args.tol, max_iters=args.max_iters)
+
+
 def _cmd_theta(args) -> int:
     g = graph_mod.parse_graph(_read_text(args.graph_path))
     # the real solve answers the Hermitian program too, so --field prints the same report
-    sol = theta_mod.lovasz_theta(g, tol=args.tol, max_iters=args.max_iters)
+    sol = _solve(g, args)
     _emit(_render({
         "value": sol.value,
         "lower": sol.lower,
@@ -87,6 +95,8 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
+    from . import alpha as alpha_mod
+
     g = graph_mod.parse_graph(_read_text(args.graph_path))
     alpha, witness = alpha_mod.independence_number(g)
     _emit(_render({"alpha": alpha, "witness": list(witness)}, args), args)
@@ -94,8 +104,10 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    from . import loor as loor_mod
+
     g = graph_mod.parse_graph(_read_text(args.graph_path))
-    sol = theta_mod.lovasz_theta(g, tol=args.tol, max_iters=args.max_iters)
+    sol = _solve(g, args)
     if not sol.converged:
         _report_unconverged(sol, args)
         return EXIT_NO_CONVERGENCE
@@ -116,6 +128,9 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_realify(args) -> int:
+    from . import loor as loor_mod
+    from . import realify as realify_mod
+
     rep = loor_mod.parse_rep(_read_text(args.rep_path))
     n = rep.n
     g = graph_mod.ExclusivityGraph(n=n, weights=np.ones(n), edges=())
@@ -126,6 +141,8 @@ def _cmd_realify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import loor as loor_mod
+
     rep = loor_mod.parse_rep(_read_text(args.rep_path))
     g = graph_mod.parse_graph(_read_text(args.graph))
     report = loor_mod.verify_rep(rep, g, tol=args.tol, target=args.target, with_sic=args.sic)
@@ -146,6 +163,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_orthograph(args) -> int:
+    from . import loor as loor_mod
+
+    if args.ortho_tol is None:
+        args.ortho_tol = loor_mod.ORTHO_TOL
     rep = loor_mod.parse_rep(_read_text(args.rep_path))
     if args.weights is not None:
         try:
@@ -163,6 +184,9 @@ def _cmd_orthograph(args) -> int:
 
 
 def _cmd_instance(args) -> int:
+    from . import instances as instances_mod
+    from . import loor as loor_mod
+
     by_name = {inst.name: inst for inst in instances_mod.all_instances()}
     if args.name not in by_name:
         raise ValueError(f"unknown instance {args.name!r}; available: {sorted(by_name)}")
@@ -197,7 +221,7 @@ _at_least_one = _checked(int, lambda k: k >= 1, "at least 1")
 
 def _add_solver_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=_positive, default=graph_mod.DEFAULT_TOL)
-    p.add_argument("--max-iters", type=_at_least_one, default=theta_mod.DEFAULT_MAX_ITERS)
+    p.add_argument("--max-iters", type=_at_least_one, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orthograph", help="derive the exclusivity graph of a vector file")
     p.add_argument("rep_path", nargs="?", default="-")
     p.add_argument("--weights", default=None, help="comma-separated vertex weights")
-    p.add_argument("--ortho-tol", type=_positive, default=loor_mod.ORTHO_TOL, dest="ortho_tol")
+    p.add_argument("--ortho-tol", type=_positive, default=None, dest="ortho_tol")
     p.set_defaults(func=_cmd_orthograph)
 
     p = sub.add_parser("instance", help="emit a built-in instance document")

@@ -4,7 +4,6 @@ import inspect
 import io
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -15,9 +14,9 @@ import pytest
 
 from loorkit import (
     ExclusivityGraph, OrthRep, bbc21, cli, graph, independence_number, kcbs, loor, lovasz_theta,
-    parse_graph, parse_rep, rep_from_gram, serialize_graph, serialize_rep, verify_rep,
+    parse_graph, parse_rep, rep_from_gram, serialize_graph, serialize_rep, theta, verify_rep,
 )
-from util import gnp, random_unitary, report_cases
+from util import gnp, random_unitary, report_cases, src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -102,6 +101,19 @@ def test_nonconvergence_names_the_missed_criterion(command, pentagon_file, monke
     assert code == 3
     # the bracket, widened by its roundoff allowance, never closes to 1e-16
     assert "300 iterations" in err and "relative gap" in err and "1e-16" in err
+
+
+@pytest.mark.parametrize("command", ["theta", "extract"])
+def test_solve_without_max_iters_takes_the_solver_cap(command, pentagon_file, monkeypatch, capsys):
+    caps, solve = [], theta.lovasz_theta
+
+    def spy(g, tol, max_iters):
+        caps.append(max_iters)
+        return solve(g, tol=tol, max_iters=max_iters)
+
+    monkeypatch.setattr(theta, "lovasz_theta", spy)
+    code, _, _ = run_cli([command, pentagon_file], capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, caps) == (0, [theta.DEFAULT_MAX_ITERS])
 
 
 def test_theta_reports_a_bracket_around_the_value(bbc_file, monkeypatch, capsys):
@@ -418,6 +430,13 @@ def test_orthograph_default_unit_weights(monkeypatch, capsys):
     assert np.array_equal(g.weights, np.ones(5))
 
 
+def test_orthograph_default_threshold_is_loor_ortho_tol(monkeypatch, capsys):
+    rep_doc = serialize_rep(kcbs().real_rep)
+    code, _, err = run_cli(["orthograph"], stdin_text=rep_doc, capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 0 and err.startswith("orthogonality threshold 1e-09, ")
+    assert loor.ORTHO_TOL == 1e-9
+
+
 def test_instance_documents(monkeypatch, capsys):
     code, out, _ = run_cli(["instance", "kcbs", "--what", "graph"],
                            capsys=capsys, monkeypatch=monkeypatch)
@@ -469,10 +488,8 @@ def test_nonpositive_tolerances_exit_2(pentagon_file, monkeypatch, capsys):
 
 def test_python_dash_m_matches_main(monkeypatch, capsys):
     code, out, _ = run_cli(["instance", "kcbs"], capsys=capsys, monkeypatch=monkeypatch)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "loorkit", "instance", "kcbs"],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=src_env(), timeout=60)
     assert (proc.returncode, proc.stdout) == (code, out)
 
 
@@ -504,10 +521,8 @@ print(codes, "numpy.ma" in sys.modules)
 def test_pipeline_stages_do_not_import_numpy_ma(tmp_path):
     # numpy.ma is a lazy import (np.unique pulls it in) that every CLI
     # process would pay for at start-up
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", PIPELINE_WITHOUT_NUMPY_MA, str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[0] == f"{[0] * 10} False"
 

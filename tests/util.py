@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
 import sys
 from collections.abc import Iterable
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
+import loorkit
 from loorkit import ExclusivityGraph, OrthRep, orthogonality_graph
 
 
@@ -271,3 +274,9 @@ def oracle_scalars(x, is_complex: bool, where: str, length: int | None = None) -
                 if is_complex else _oracle_is_number(s)):
             raise ValueError(f"{where}[{k}] must be {kind}, got {s!r}")
     return [complex(*s) for s in x] if is_complex else [float(s) for s in x]
+
+
+def src_env() -> dict:
+    """The environment for a fresh interpreter that imports this checkout's loorkit."""
+    src = str(Path(loorkit.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
