@@ -1,9 +1,9 @@
 """Exclusivity graphs: the data model, its JSON wire format, and the input
 rules that every module shares.  Those rules are the number, edge and tol
-checks, the document loader, the tol of every call not given one
-(``DEFAULT_TOL``) and the one tolerance that decides whether input is
-accepted (``INPUT_TOL``).  Nothing here takes vectors or searches: vector
-measures are in ``loor``, the independence number in ``alpha``.
+checks, the document loader and the tol of every call not given one
+(``DEFAULT_TOL``).  Each check runs at the tol of the function that makes
+it.  Nothing here takes vectors or searches: vector measures are in
+``loor``, the independence number in ``alpha``.
 
 Wire format (UTF-8 JSON, 0-based vertices, edges canonical i < j ascending;
 ``parse_graph`` decodes it, the ``ExclusivityGraph`` constructor validates it)::
@@ -31,10 +31,6 @@ __all__ = [
 
 # the tol of every call and every --tol flag that is not given one
 DEFAULT_TOL = 1e-8
-# acceptance of input, the same in every layer: a vector is unit when
-# |norm - 1| <= INPUT_TOL, a matrix Hermitian when its deviation is at most
-# INPUT_TOL * max(1, max|A|)
-INPUT_TOL = 1e-8
 
 
 class GraphFormatError(ValueError):

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (DEFAULT_TOL, INPUT_TOL, ExclusivityGraph, _check_numbers, _check_tol, _is_int,
-                    _is_number, _load_document, _walk)
+from .graph import (DEFAULT_TOL, ExclusivityGraph, _check_numbers, _check_tol, _is_int, _is_number,
+                    _load_document, _walk)
 
 __all__ = [
     "OrthRep",
@@ -89,8 +89,8 @@ class OrthRep:
     of the graph it represents.  The constructor validates input from any
     source: field, dim, the shapes, that every entry is a number (a real
     one in the real field; a bool or a string is refused, naming the
-    entry), and that all vectors are finite and unit within
-    ``graph.INPUT_TOL``; orthogonality on edges is checked by verify_rep.
+    entry), and that the vectors are finite with norms in (0, 2), so every
+    handle overlap is below 16; verify_rep judges unit norm and edges at its tol.
     ``handle`` and ``vectors`` are read-only copies, so a checked
     representation stays checked.
     """
@@ -118,7 +118,7 @@ class OrthRep:
         if not (np.all(np.isfinite(handle)) and np.all(np.isfinite(vectors))):
             raise ValueError("representation contains non-finite entries")
         worst = _max_norm_deviation(handle, vectors)
-        if worst > INPUT_TOL:
+        if not worst < 1.0:  # a zero vector, a norm of 2 or more, or an overflowing norm
             raise ValueError(f"handle/vectors must be unit norm (worst deviation {worst:.3e})")
         if vectors.shape[0] == 0:
             raise ValueError("'vectors' must hold at least one vector, got none")
@@ -201,23 +201,27 @@ def _check_aligned(rep: OrthRep, g: ExclusivityGraph) -> None:
         raise ValueError(f"representation has {rep.n} vectors but graph has {g.n} vertices")
 
 
-def _overlaps(rep: OrthRep) -> np.ndarray:
-    """Handle overlaps |<psi|v_i>|^2, one per vertex."""
-    amp = rep.vectors @ rep.handle.conj()
-    return np.abs(amp) ** 2
+def _value(g: ExclusivityGraph, amp: np.ndarray) -> tuple[np.ndarray, float]:
+    """Overlaps |amp_i|^2 and the value sum_i w_i |amp_i|^2; ValueError if the sum overflows."""
+    overlap = np.abs(amp) ** 2
+    with np.errstate(over="ignore"):
+        value = float(np.dot(g.weights, overlap))
+    if not math.isfinite(value):
+        raise ValueError(f"'value' sum_i w_i |<psi|v_i>|^2 overflows, got {value!r}")
+    return overlap, value
 
 
 def rep_value(rep: OrthRep, g: ExclusivityGraph) -> float:
     """Achieved value sum_i w_i |<psi|v_i>|^2 of a representation."""
     _check_aligned(rep, g)
-    return float(np.dot(g.weights, _overlaps(rep)))
+    return _value(g, rep.vectors @ rep.handle.conj())[1]
 
 
 def orthogonality_graph(vectors, weights=None, tol: float = ORTHO_TOL) -> ExclusivityGraph:
     """Graph with an edge (i, j) exactly when |<v_i|v_j>| <= tol.
 
     ``vectors`` is an (n, d) array (real or complex) of rows that are unit
-    within ``INPUT_TOL``; weights default to 1.  Inner products are
+    within the same ``tol``; weights default to 1.  Inner products are
     invariant under a common unitary, so the derived graph is too.
     """
     v = np.asarray(vectors)
@@ -225,7 +229,7 @@ def orthogonality_graph(vectors, weights=None, tol: float = ORTHO_TOL) -> Exclus
         raise ValueError(f"vectors must form an (n, d) array, got shape {v.shape}")
     _check_tol("tol", tol)
     deviation = _norm_deviation(v)
-    bad = np.flatnonzero(~(deviation <= INPUT_TOL))  # NaN is not unit either
+    bad = np.flatnonzero(~(deviation <= tol))  # NaN is not unit either
     if bad.size:
         k = int(bad[0])
         raise ValueError(f"vector {k} is not unit (norm deviation {float(deviation[k])!r})")
@@ -267,8 +271,7 @@ def verify_rep(
         raise ValueError(f"target must be a finite number, got {target!r}")
     max_norm = _max_norm_deviation(rep.handle, rep.vectors)
     max_edge = max_edge_overlap(rep.vectors, g)
-    overlap = _overlaps(rep)
-    value = float(np.dot(g.weights, overlap))
+    overlap, value = _value(g, rep.vectors @ rep.handle.conj())
     passed = max_norm <= tol and max_edge <= tol
     if target is not None:
         passed = passed and abs(value - target) <= tol * g.weight_sum
@@ -297,8 +300,8 @@ def hermitize(m) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def _checked_hermitian(m) -> np.ndarray:
-    """Hermitized copy of a square, finite, nonempty, (conjugate) symmetric matrix."""
+def _checked_hermitian(m, tol: float) -> np.ndarray:
+    """Hermitized copy of a square, finite, nonempty matrix, (conjugate) symmetric within tol."""
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
@@ -308,7 +311,7 @@ def _checked_hermitian(m) -> np.ndarray:
         raise ValueError("matrix must be finite and Hermitian, got non-finite entries")
     scale = max(1.0, float(np.max(np.abs(a))))
     dev = float(np.max(np.abs(a - a.conj().T)))
-    if dev > INPUT_TOL * scale:
+    if dev > tol * scale:
         raise ValueError(f"matrix deviates from Hermitian (conjugate) symmetry by {dev:.3e}")
     return hermitize(a)
 
@@ -317,13 +320,14 @@ def gram_from_rep(rep: OrthRep, g: ExclusivityGraph) -> np.ndarray:
     """Feasible Gram-like matrix attaining the representation's value.
 
     X_ij = sqrt(w_i w_j) <psi|v_i><v_j|psi><v_i|v_j> / S with S the achieved
-    value: the Gram matrix of sqrt(w_i)<v_i|psi>|v_i>/sqrt(S).  It has unit
-    trace, zeros on edges, and is PSD; W.X >= S, with equality exactly when
-    the handle is an eigenvector of sum_i w_i |v_i><v_i|.
+    value: the Gram matrix of sqrt(w_i)<v_i|psi>|v_i>/sqrt(S).  It is PSD; it
+    has unit trace and zeros on edges when the representation passes
+    verify_rep, and otherwise carries its residuals.  W.X >= S, with
+    equality exactly when the handle is an eigenvector of sum_i w_i |v_i><v_i|.
     """
     _check_aligned(rep, g)
     amp = rep.vectors @ rep.handle.conj()  # <psi|v_i>
-    s = float(np.dot(g.weights, np.abs(amp) ** 2))  # the achieved value, as rep_value has it
+    s = _value(g, amp)[1]
     if s <= 1e-12 * float(np.max(g.weights)):
         raise ValueError(f"degenerate representation: achieved value {s!r}")
     scaled = (np.sqrt(g.weights) * np.conj(amp))[:, None] * rep.vectors
@@ -361,7 +365,7 @@ def rep_from_gram(x, g: ExclusivityGraph, tol: float = DEFAULT_TOL) -> OrthRep:
             f"matrix is not feasible: trace deviation {tr_dev:.3e}, "
             f"edge deviation {edge_dev:.3e}"
         )
-    values, vectors = np.linalg.eigh(_checked_hermitian(a))
+    values, vectors = np.linalg.eigh(_checked_hermitian(a, tol))
     lam_max = max(float(values[-1]), 0.0)
     roundoff = g.n * np.finfo(float).eps * lam_max
     if float(values[0]) < -tol * max(1.0, lam_max) - roundoff:
@@ -400,12 +404,14 @@ def certify_operator(
     is the top eigenvalue times the identity, within
     ``graph.DEFAULT_TOL * max(w)`` in max-norm (the operator scales with
     the weights), in which case the achieved value is the same for every
-    unit handle.
+    unit handle.  Raises ValueError when the operator overflows.
     """
     _check_aligned(rep, g)
-    m = rep.vectors.T @ (g.weights[:, None] * rep.vectors.conj())
-    operator = hermitize(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        operator = hermitize(rep.vectors.T @ (g.weights[:, None] * rep.vectors.conj()))
     spectrum = np.linalg.eigh(operator)[0]
+    if not np.all(np.isfinite(spectrum)):
+        raise ValueError("operator sum_i w_i |v_i><v_i| overflows")
     lam_max = float(spectrum[-1])
     dev = float(np.max(np.abs(operator - lam_max * np.eye(rep.dim))))
     return operator, spectrum, bool(dev <= DEFAULT_TOL * float(np.max(g.weights)))

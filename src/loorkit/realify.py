@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import ExclusivityGraph
+from .graph import DEFAULT_TOL, ExclusivityGraph
 from .loor import OrthRep, _check_aligned, _checked_hermitian
 
 __all__ = [
@@ -43,9 +43,9 @@ def block_embed(m) -> np.ndarray:
     """Embed Hermitian A + iB as the real symmetric block [[A, -B], [B, A]].
 
     The input must be square, nonempty, finite and Hermitian within
-    ``graph.INPUT_TOL`` (relative).
+    ``graph.DEFAULT_TOL`` (relative).
     """
-    h = _checked_hermitian(m)
+    h = _checked_hermitian(m, DEFAULT_TOL)
     return np.block([[h.real, -h.imag], [h.imag, h.real]])
 
 

@@ -303,6 +303,73 @@ def test_realify_vector_accepts_handle_unit_within_unit_tol(monkeypatch, capsys)
     assert parse_rep(out).dim == 5
 
 
+def kcbs_rep_doc(scale):
+    """kcbs's real representation with vector 0 scaled by ``scale``, as a document."""
+    rep = kcbs().real_rep
+    vectors = rep.vectors.copy()
+    vectors[0] *= scale
+    return serialize_rep(OrthRep("real", rep.dim, rep.handle, vectors))
+
+
+def test_rep_off_unit_by_5e_8_is_judged_at_the_callers_tol(pentagon_file, monkeypatch, capsys):
+    doc = kcbs_rep_doc(1 + 5e-8)
+
+    def run(args, stdin_text):
+        return run_cli(args, stdin_text=stdin_text, capsys=capsys, monkeypatch=monkeypatch)
+
+    verify = ["verify", "--graph", pentagon_file]
+    code, out, err = run([*verify, "--tol", "1e-6"], doc)
+    assert (code, err) == (0, "")
+    code, out, _ = run(verify, doc)
+    assert code == 1 and json.loads(out)["max_norm_residual"] == pytest.approx(5e-8, rel=1e-6)
+    code, real, err = run(["realify", "--method", "vector"], doc)
+    assert (code, err) == (0, "")
+    assert run([*verify, "--tol", "1e-6"], real)[0] == 0
+    # orthograph judges the norms at its edge threshold
+    code, out, err = run(["orthograph"], doc)
+    assert (code, out) == (2, "") and "vector 0 is not unit" in err
+    code, out, _ = run(["orthograph", "--ortho-tol", "1e-6"], doc)
+    assert code == 0 and parse_graph(out).edges == kcbs().graph.edges
+
+
+@pytest.mark.parametrize("t", [1e-8, 1e-6, 1e-2, 0.9])
+@pytest.mark.parametrize("d", [2e-8, 1e-6, 1e-3, 0.5])
+def test_verify_passes_a_norm_deviation_exactly_within_tol(d, t, pentagon_file, monkeypatch,
+                                                          capsys):
+    code, out, err = run_cli(["verify", "--graph", pentagon_file, "--tol", repr(t)],
+                             stdin_text=kcbs_rep_doc(1 + d), capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, err) == (0 if d <= t else 1, "")
+    assert json.loads(out)["max_norm_residual"] == pytest.approx(d, rel=1e-6)
+
+
+@pytest.mark.parametrize("doc", [
+    '{"field": "real", "dim": 2, "handle": [1e308, 0], "vectors": [[1, 0]]}',
+    '{"field": "real", "dim": 2, "handle": [1, 0], "vectors": [[1e308, 1e308]]}',
+    '{"field": "real", "dim": 2, "handle": [1, 0], "vectors": [[0, 0]]}',
+], ids=["handle-1e308", "vectors-1e308", "zero-vector"])
+def test_norms_no_tol_accepts_exit_2_naming_the_field(doc, pentagon_file, monkeypatch, capsys):
+    code, out, err = run_cli(["verify", "--graph", pentagon_file], stdin_text=doc,
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: handle/vectors must be unit norm (worst deviation ")
+
+
+@pytest.mark.parametrize("weight, doc, flags, named", [
+    ("1.7976931348623157e308", '{"field": "real", "dim": 1, "handle": [1.000000001], '
+     '"vectors": [[1.0]]}', [], "'value'"),
+    ("1.7e308", '{"field": "real", "dim": 2, "handle": [0, 1], "vectors": [[1, 0]]}',
+     ["--sic"], "operator"),
+], ids=["value", "sic-operator"])
+def test_verify_overflow_exits_2_naming_it(weight, doc, flags, named, tmp_path, monkeypatch,
+                                           capsys):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text('{"n": 1, "weights": [%s], "edges": []}' % weight)
+    code, out, err = run_cli(["verify", "--graph", str(graph_path), *flags], stdin_text=doc,
+                             capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {named} ")
+
+
 def test_orthograph_refuses_weights_that_are_not_numbers(monkeypatch, capsys):
     _, rep_doc, _ = run_cli(["instance", "kcbs", "--what", "rep-real"],
                             capsys=capsys, monkeypatch=monkeypatch)

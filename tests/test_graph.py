@@ -275,6 +275,14 @@ def test_orthogonality_graph_rejects_bad_vectors():
         orthogonality_graph(np.ones(3))
 
 
+def test_orthogonality_graph_judges_norms_at_its_tol():
+    vectors = kcbs().real_rep.vectors.copy()
+    vectors[0] *= 1 + 5e-8
+    with pytest.raises(ValueError, match="vector 0 is not unit"):
+        orthogonality_graph(vectors)  # ORTHO_TOL = 1e-9
+    assert orthogonality_graph(vectors, tol=1e-6).edges == kcbs().graph.edges
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("inf"), float("nan"), True])
 def test_orthogonality_graph_rejects_bad_tol(tol):
     with pytest.raises(ValueError, match="tol"):

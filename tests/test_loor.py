@@ -23,6 +23,7 @@ from loorkit import (
     verify_rep,
     weight_objective,
 )
+from loorkit.graph import DEFAULT_TOL
 from loorkit.loor import _checked_hermitian
 from util import odd_cycle, odd_cycle_theta, random_complex_rep, random_unitary
 
@@ -315,6 +316,39 @@ def test_rep_from_gram_refusals_name_the_cause(x, kwargs, fragment):
         rep_from_gram(x, kcbs().graph, **kwargs)
 
 
+@pytest.mark.parametrize(("tol", "accepted"), [(None, False), (1e-6, True)],
+                         ids=["default", "1e-6"])
+def test_rep_from_gram_symmetry_follows_tol(tol, accepted):
+    x = np.eye(5) / 5.0
+    x[0, 2] += 1e-7  # asymmetry 1e-7 on a non-edge of the pentagon
+    kwargs = {} if tol is None else {"tol": tol}
+    if accepted:
+        assert rep_from_gram(x, kcbs().graph, **kwargs).dim == 5
+    else:
+        with pytest.raises(ValueError, match="symmetry by 1.000e-07"):
+            rep_from_gram(x, kcbs().graph, **kwargs)
+
+
+def test_value_overflow_is_refused_naming_value():
+    # the norm passes at the default tol, and the one weight is the largest double
+    g = ExclusivityGraph(n=1, weights=np.array([np.finfo(float).max]), edges=())
+    rep = OrthRep("real", 1, np.array([1.000000001]), np.array([[1.0]]))
+    for measure in (rep_value, verify_rep, gram_from_rep):
+        with pytest.raises(ValueError, match="'value' .* overflows, got inf"):
+            measure(rep, g)
+
+
+@pytest.mark.parametrize(("weight", "vector"), [(1e308, [1.9, 0.0]), (1.7e308, [1.0, 0.0])],
+                         ids=["product", "hermitize"])
+def test_operator_overflow_is_refused(weight, vector):
+    # the value is 0, so only the operator sum_i w_i |v_i><v_i| overflows
+    g = ExclusivityGraph(n=1, weights=np.array([weight]), edges=())
+    rep = OrthRep("real", 2, np.array([0.0, 1.0]), np.array([vector]))
+    assert verify_rep(rep, g).value == 0.0
+    with pytest.raises(ValueError, match="operator .* overflows"):
+        verify_rep(rep, g, with_sic=True)
+
+
 def test_rep_from_gram_no_handle_error():
     g = ExclusivityGraph(n=2, weights=np.ones(2), edges=())
     x = np.array([[0.5, -0.5], [-0.5, 0.5]])
@@ -434,6 +468,10 @@ def test_rep_json_complex_scalars_are_pairs():
          r"'vectors' must have shape \(n, 1\), got \(0,\)"),
         ('{"field": "real", "dim": 2, "handle": [1e308, 0], "vectors": [[1, 0]]}', "unit"),
         ('{"field": "real", "dim": 2, "handle": [1, 0], "vectors": [[1e308, 1e308]]}', "unit"),
+        ('{"field": "real", "dim": 2, "handle": [1, 0], "vectors": [[0, 0]]}',
+         r"handle/vectors must be unit norm \(worst deviation 1.000e\+00\)"),
+        ('{"field": "real", "dim": 2, "handle": [1, 0], "vectors": [[0, 2]]}',
+         r"handle/vectors must be unit norm \(worst deviation 1.000e\+00\)"),
         ('{"field": "real", "dim": 1, "handle": [NaN], "vectors": [[1]]}', "non-finite"),
         ('{"field": "real", "dim": 1, "handle": [1], "vectors": [[Infinity]]}', "non-finite"),
         ('{"field": "real", "dim": 1, "handle": 5, "vectors": [[1]]}',
@@ -483,8 +521,14 @@ def test_rep_nesting_past_numpy_dimension_limit_is_named():
 
 
 def test_orthrep_validates_norms():
-    with pytest.raises(ValueError, match="unit"):
-        OrthRep("real", 2, np.array([1.0, 1.0]), np.zeros((0, 2)))
+    # the constructor refuses only norms that no tol accepts, |norm - 1| >= 1;
+    # verify_rep judges unit norm at its own tol
+    for handle in ([0.0, 0.0], [2.0, 0.0], [1e200, 1e200]):
+        with pytest.raises(ValueError, match="unit"):
+            OrthRep("real", 2, np.array(handle), np.eye(2))
+    rep = OrthRep("real", 2, np.array([1.0, 1.0]), np.eye(2))
+    report = verify_rep(rep, ExclusivityGraph(n=2, weights=np.ones(2), edges=()), tol=0.5)
+    assert report.passed and report.max_norm_residual == np.sqrt(2.0) - 1.0
 
 
 def test_rep_without_vectors_is_rejected_naming_vectors():
@@ -537,7 +581,7 @@ def test_herm_eig_weighted_ray_sum_is_flat():
 def test_herm_eig_rejects_non_hermitian():
     # complex symmetric but not Hermitian: the check every eigensolve runs behind
     with pytest.raises(ValueError, match="Hermitian"):
-        _checked_hermitian(np.array([[0.0, 1j], [1j, 0.0]]))
+        _checked_hermitian(np.array([[0.0, 1j], [1j, 0.0]]), DEFAULT_TOL)
 
 
 # The Gram factorization X = Y^T Y of an SDP optimum is done inside
