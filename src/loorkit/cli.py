@@ -8,9 +8,9 @@ with shortest round-trip representation, so identical runs are
 byte-identical); ``--format text`` renders the reports of ``theta``,
 ``alpha`` and ``verify`` as small human tables.
 
-Each command imports only the modules it calls, and the flag defaults
-owned by a module (``--max-iters``, ``--ortho-tol``) are read from it
-once the command has imported it.
+Each command imports only the modules it calls, and the flag default
+owned by a module (``--max-iters``) is read from it once the command has
+imported it.
 """
 
 from __future__ import annotations
@@ -165,8 +165,6 @@ def _cmd_verify(args) -> int:
 def _cmd_orthograph(args) -> int:
     from . import loor as loor_mod
 
-    if args.ortho_tol is None:
-        args.ortho_tol = loor_mod.ORTHO_TOL
     rep = loor_mod.parse_rep(_read_text(args.rep_path))
     if args.weights is not None:
         try:
@@ -265,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orthograph", help="derive the exclusivity graph of a vector file")
     p.add_argument("rep_path", nargs="?", default="-")
     p.add_argument("--weights", default=None, help="comma-separated vertex weights")
-    p.add_argument("--ortho-tol", type=_positive, default=None, dest="ortho_tol")
+    p.add_argument("--ortho-tol", type=_positive, default=graph_mod.DEFAULT_TOL)
     p.set_defaults(func=_cmd_orthograph)
 
     p = sub.add_parser("instance", help="emit a built-in instance document")

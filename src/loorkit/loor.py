@@ -41,10 +41,6 @@ __all__ = [
     "hermitize",
 ]
 
-# rep_from_gram keeps the eigenvalues of X above RANK_TOL * lambda_max
-RANK_TOL = 1e-7
-ORTHO_TOL = 1e-9  # orthogonality_graph's default edge threshold on |<v_i|v_j>|
-
 
 class RepFormatError(ValueError):
     """Raised when a representation document does not match the wire schema."""
@@ -217,12 +213,14 @@ def rep_value(rep: OrthRep, g: ExclusivityGraph) -> float:
     return _value(g, rep.vectors @ rep.handle.conj())[1]
 
 
-def orthogonality_graph(vectors, weights=None, tol: float = ORTHO_TOL) -> ExclusivityGraph:
+def orthogonality_graph(vectors, weights=None, tol: float = DEFAULT_TOL) -> ExclusivityGraph:
     """Graph with an edge (i, j) exactly when |<v_i|v_j>| <= tol.
 
     ``vectors`` is an (n, d) array (real or complex) of rows that are unit
-    within the same ``tol``; weights default to 1.  Inner products are
-    invariant under a common unitary, so the derived graph is too.
+    within the same ``tol``; weights default to 1.  The default ``tol`` is
+    verify_rep's, so the vectors of a representation it accepts keep every
+    edge.  Inner products are invariant under a common unitary, so the
+    derived graph is too.
     """
     v = np.asarray(vectors)
     if v.ndim != 2:
@@ -330,15 +328,16 @@ def gram_from_rep(rep: OrthRep, g: ExclusivityGraph) -> np.ndarray:
     s = _value(g, amp)[1]
     if s <= 1e-12 * float(np.max(g.weights)):
         raise ValueError(f"degenerate representation: achieved value {s!r}")
-    scaled = (np.sqrt(g.weights) * np.conj(amp))[:, None] * rep.vectors
-    x = scaled.conj() @ scaled.T / s
+    k = math.frexp(s)[1] // 2  # 4^k is near S; power-of-two scaling is exact
+    scaled = (np.sqrt(g.weights) * np.conj(amp) * 2.0 ** -k)[:, None] * rep.vectors
+    x = scaled.conj() @ scaled.T / math.ldexp(s, -2 * k)
     return hermitize(x)
 
 
 def rep_from_gram(x, g: ExclusivityGraph, tol: float = DEFAULT_TOL) -> OrthRep:
     """Extract a real representation from a feasible optimum of the SDP.
 
-    Factors X = Y^T Y from its eigenvalues above ``RANK_TOL * lambda_max``,
+    Factors X = Y^T Y from its eigenvalues above ``tol * lambda_max``,
     normalizes the factor columns y_i into vertex vectors, and reconstructs
     the handle from sum_i sqrt(w_i) y_i (proportional to the top
     eigenvector of the weighted projector sum at an optimum).  Vertices
@@ -347,8 +346,8 @@ def rep_from_gram(x, g: ExclusivityGraph, tol: float = DEFAULT_TOL) -> OrthRep:
 
     A complex (Hermitian) X is replaced by its real part: Re X has the same
     trace, zero edges and value, and is PSD, so it is a real optimum.
-    ``tol`` bounds X's trace and edge deviations and is the PSD refusal
-    floor: X is refused when an eigenvalue lies below
+    ``tol`` bounds X's trace and edge deviations, sets the rank cut, and
+    is the PSD refusal floor: X is refused when an eigenvalue lies below
     -tol * max(1, lambda_max), widened by n eps lambda_max of roundoff.
     Pass the tolerance X was solved at, so that X's own residuals are
     accepted; the default is the solver's, ``graph.DEFAULT_TOL``.
@@ -372,7 +371,7 @@ def rep_from_gram(x, g: ExclusivityGraph, tol: float = DEFAULT_TOL) -> OrthRep:
         raise ValueError(
             f"matrix is not positive semidefinite: min eigenvalue {values[0]:.3e}"
         )
-    keep = values > RANK_TOL * lam_max
+    keep = values > tol * lam_max
     y = np.sqrt(values[keep])[:, None] * vectors[:, keep].T
     r = y.shape[0]
     if r == 0:
@@ -407,11 +406,16 @@ def certify_operator(
     unit handle.  Raises ValueError when the operator overflows.
     """
     _check_aligned(rep, g)
-    with np.errstate(over="ignore", invalid="ignore"):
-        operator = hermitize(rep.vectors.T @ (g.weights[:, None] * rep.vectors.conj()))
+    # built on the weights over 2^e, near max(w), so that no step overflows;
+    # power-of-two scaling is exact, and ldexp scales by 2^e = 2^1024 too
+    w_max = float(np.max(g.weights))
+    e = math.frexp(w_max)[1]
+    operator = hermitize(rep.vectors.T @ (np.ldexp(g.weights, -e)[:, None] * rep.vectors.conj()))
     spectrum = np.linalg.eigh(operator)[0]
+    dev = float(np.max(np.abs(operator - float(spectrum[-1]) * np.eye(rep.dim))))
+    with np.errstate(over="ignore"):
+        spectrum = np.ldexp(spectrum, e)
+        operator = np.ldexp(operator.view(float), e).view(operator.dtype)
     if not np.all(np.isfinite(spectrum)):
         raise ValueError("operator sum_i w_i |v_i><v_i| overflows")
-    lam_max = float(spectrum[-1])
-    dev = float(np.max(np.abs(operator - lam_max * np.eye(rep.dim))))
-    return operator, spectrum, bool(dev <= DEFAULT_TOL * float(np.max(g.weights)))
+    return operator, spectrum, bool(dev <= DEFAULT_TOL * math.ldexp(w_max, -e))

@@ -357,7 +357,7 @@ def test_norms_no_tol_accepts_exit_2_naming_the_field(doc, pentagon_file, monkey
 @pytest.mark.parametrize("weight, doc, flags, named", [
     ("1.7976931348623157e308", '{"field": "real", "dim": 1, "handle": [1.000000001], '
      '"vectors": [[1.0]]}', [], "'value'"),
-    ("1.7e308", '{"field": "real", "dim": 2, "handle": [0, 1], "vectors": [[1, 0]]}',
+    ("1e308", '{"field": "real", "dim": 2, "handle": [0, 1], "vectors": [[1.9, 0]]}',
      ["--sic"], "operator"),
 ], ids=["value", "sic-operator"])
 def test_verify_overflow_exits_2_naming_it(weight, doc, flags, named, tmp_path, monkeypatch,
@@ -497,11 +497,11 @@ def test_orthograph_default_unit_weights(monkeypatch, capsys):
     assert np.array_equal(g.weights, np.ones(5))
 
 
-def test_orthograph_default_threshold_is_loor_ortho_tol(monkeypatch, capsys):
+def test_orthograph_default_threshold_is_graph_default_tol(monkeypatch, capsys):
     rep_doc = serialize_rep(kcbs().real_rep)
     code, _, err = run_cli(["orthograph"], stdin_text=rep_doc, capsys=capsys, monkeypatch=monkeypatch)
-    assert code == 0 and err.startswith("orthogonality threshold 1e-09, ")
-    assert loor.ORTHO_TOL == 1e-9
+    assert code == 0 and err.startswith("orthogonality threshold 1e-08, ")
+    assert graph.DEFAULT_TOL == 1e-8
 
 
 def test_instance_documents(monkeypatch, capsys):

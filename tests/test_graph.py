@@ -279,7 +279,7 @@ def test_orthogonality_graph_judges_norms_at_its_tol():
     vectors = kcbs().real_rep.vectors.copy()
     vectors[0] *= 1 + 5e-8
     with pytest.raises(ValueError, match="vector 0 is not unit"):
-        orthogonality_graph(vectors)  # ORTHO_TOL = 1e-9
+        orthogonality_graph(vectors)  # at DEFAULT_TOL = 1e-8
     assert orthogonality_graph(vectors, tol=1e-6).edges == kcbs().graph.edges
 
 

@@ -16,6 +16,7 @@ from loorkit import (
     gram_from_rep,
     kcbs,
     lovasz_theta,
+    orthogonality_graph,
     parse_rep,
     rep_from_gram,
     rep_value,
@@ -25,7 +26,7 @@ from loorkit import (
 )
 from loorkit.graph import DEFAULT_TOL
 from loorkit.loor import _checked_hermitian
-from util import odd_cycle, odd_cycle_theta, random_complex_rep, random_unitary
+from util import gnp, odd_cycle, odd_cycle_theta, random_complex_rep, random_unitary
 
 SQRT5 = float(np.sqrt(5.0))
 
@@ -165,6 +166,28 @@ def test_gram_from_rep_rejects_degenerate():
         gram_from_rep(rep, g)
 
 
+def test_gram_from_rep_does_not_overflow_below_a_finite_value():
+    # S = 1.69e308 is finite; the unscaled product sqrt(w) <v|psi> |v> squared is not
+    g = ExclusivityGraph(n=1, weights=np.array([1e308]), edges=())
+    rep = OrthRep("real", 2, np.array([1.0, 0.0]), np.array([[1.3, 0.0]]))
+    assert_allclose(gram_from_rep(rep, g), [[1.69]], rtol=1e-15)
+
+
+@pytest.mark.parametrize("k", [-100, -10, 2, 10, 100])
+def test_weights_times_a_power_of_four_scale_gram_and_operator_exactly(k):
+    # scaling by 4^k is exact in binary floating point, and so is every
+    # power-of-two rescaling inside gram_from_rep and certify_operator
+    inst = bbc21()
+    g = ExclusivityGraph(inst.graph.n, inst.graph.weights * 4.0 ** k, inst.graph.edges)
+    for rep in (inst.real_rep, inst.complex_rep):
+        assert gram_from_rep(rep, g).tobytes() == gram_from_rep(rep, inst.graph).tobytes()
+        operator, spectrum, sic = certify_operator(rep, g)
+        base_operator, base_spectrum, base_sic = certify_operator(rep, inst.graph)
+        assert np.array_equal(spectrum, base_spectrum * 4.0 ** k)
+        assert np.array_equal(operator, base_operator * 4.0 ** k)
+        assert sic is base_sic
+
+
 @pytest.mark.parametrize("factor", [1e-13, 1e13])
 def test_gram_from_rep_is_scale_free(factor):
     # X is homogeneous of degree 0 in the weights
@@ -178,8 +201,9 @@ def test_rep_from_gram_pentagon_optimum():
     inst = kcbs()
     sol = lovasz_theta(inst.graph)
     assert sol.converged
-    # independent rank oracle: three eigenvalues of the optimum stand
-    # clear of the 1e-7-relative cutoff, the rest sit at solver noise
+    # independent rank oracle: three eigenvalues of the optimum stand clear
+    # of a 1e-7-relative cutoff, ten times the rank cut at the default tol,
+    # and the rest sit at solver noise
     eigenvalues = np.linalg.eigvalsh(sol.X)
     assert int(np.sum(eigenvalues > 1e-7 * eigenvalues[-1])) == 3
     rep = rep_from_gram(sol.X, inst.graph)
@@ -256,6 +280,27 @@ def test_rep_from_gram_degenerate_vertex_gets_fresh_axis():
     assert_allclose(np.linalg.norm(rep.vectors, axis=1), [1.0, 1.0], atol=1e-12)
     assert abs(rep.vectors[1] @ rep.handle) <= 1e-12
     assert abs(rep.vectors[0] @ rep.vectors[1]) <= 1e-12
+
+
+@pytest.mark.parametrize(("eigenvalue", "tol", "dim"),
+                         [(1e-5, 1e-4, 1), (1e-5, 1e-6, 2), (5e-8, DEFAULT_TOL, 2)])
+def test_rep_from_gram_rank_cut_follows_tol(eigenvalue, tol, dim):
+    # X = (1 - e) u u^T + e v v^T keeps v exactly when e > tol (1 - e)
+    u, v = np.array([0.8, 0.6]), np.array([-0.6, 0.8])
+    x = (1 - eigenvalue) * np.outer(u, u) + eigenvalue * np.outer(v, v)
+    g = ExclusivityGraph(n=2, weights=np.ones(2), edges=())
+    assert rep_from_gram(x, g, tol=tol).dim == dim
+
+
+def test_extracted_rep_gives_its_graph_back_at_the_default_tol():
+    # the edge residual of G(150)'s extract is 5.8e-9: within the default
+    # tol, but not within 1e-9
+    g = gnp(np.random.default_rng(150), 150, 0.3)
+    sol = lovasz_theta(g)
+    assert sol.converged
+    rep = rep_from_gram(sol.X, g)
+    assert verify_rep(rep, g).passed
+    assert orthogonality_graph(rep.vectors).edges == g.edges
 
 
 @pytest.mark.parametrize(("tol", "accepted"), [(None, False), (1e-4, True)],
@@ -338,15 +383,20 @@ def test_value_overflow_is_refused_naming_value():
             measure(rep, g)
 
 
-@pytest.mark.parametrize(("weight", "vector"), [(1e308, [1.9, 0.0]), (1.7e308, [1.0, 0.0])],
+@pytest.mark.parametrize(("weight", "vector", "spectrum"),
+                         [(1e308, [1.9, 0.0], None), (1.7e308, [1.0, 0.0], [0.0, 1.7e308])],
                          ids=["product", "hermitize"])
-def test_operator_overflow_is_refused(weight, vector):
-    # the value is 0, so only the operator sum_i w_i |v_i><v_i| overflows
+def test_operator_overflow_is_refused(weight, vector, spectrum):
+    # the value is 0, so only the operator sum_i w_i |v_i><v_i| can overflow:
+    # w |v|^2 = 3.61e308 does; 1.7e308 does not, though its a + a^H would
     g = ExclusivityGraph(n=1, weights=np.array([weight]), edges=())
     rep = OrthRep("real", 2, np.array([0.0, 1.0]), np.array([vector]))
     assert verify_rep(rep, g).value == 0.0
-    with pytest.raises(ValueError, match="operator .* overflows"):
-        verify_rep(rep, g, with_sic=True)
+    if spectrum is None:
+        with pytest.raises(ValueError, match="operator .* overflows"):
+            verify_rep(rep, g, with_sic=True)
+    else:
+        assert verify_rep(rep, g, with_sic=True).sic_spectrum.tolist() == spectrum
 
 
 def test_rep_from_gram_no_handle_error():

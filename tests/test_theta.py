@@ -368,6 +368,19 @@ def test_weight_scale_does_not_change_the_solve(g):
         assert scaled.upper == pytest.approx(base.upper * factor, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("k", [-100, -10, 2, 10, 100])
+def test_weights_times_a_power_of_four_scale_the_solve_exactly(k):
+    # scaling by 4^k is exact: sum(w) and sqrt(w_i w_j) scale by 4^k and 2^k
+    # with no rounding, so the solve on w / sum(w) is bitwise the same
+    for g in (kcbs().graph, bbc21().graph, weighted_gnp20()):
+        base = lovasz_theta(g)
+        sol = lovasz_theta(ExclusivityGraph(n=g.n, weights=g.weights * 4.0 ** k, edges=g.edges))
+        assert sol.iterations == base.iterations
+        assert sol.X.tobytes() == base.X.tobytes()
+        assert (sol.value, sol.lower, sol.upper) == tuple(
+            x * 4.0 ** k for x in (base.value, base.lower, base.upper))
+
+
 def test_converged_brackets_meet_the_tolerance_on_random_graphs():
     rng = np.random.default_rng(12)
     for _ in range(10):
