@@ -225,6 +225,7 @@ def orthogonality_graph(vectors, weights=None, tol: float = DEFAULT_TOL) -> Excl
     v = np.asarray(vectors)
     if v.ndim != 2:
         raise ValueError(f"vectors must form an (n, d) array, got shape {v.shape}")
+    v = _numeric(v, vectors, "vectors")
     _check_tol("tol", tol)
     deviation = _norm_deviation(v)
     bad = np.flatnonzero(~(deviation <= tol))  # NaN is not unit either
@@ -240,8 +241,10 @@ def orthogonality_graph(vectors, weights=None, tol: float = DEFAULT_TOL) -> Excl
 
 
 def max_edge_overlap(vectors, g: ExclusivityGraph) -> float:
-    """Largest |<v_i|v_j>| over the accepted edges (0.0 if edgeless)."""
+    """Largest |<v_i|v_j>| over the accepted edges (0.0 if edgeless) of (g.n, d) vectors."""
     v = np.asarray(vectors)
+    if v.ndim != 2 or v.shape[0] != g.n:
+        raise ValueError(f"vectors must have shape ({g.n}, d) for {g.n} vertices, got {v.shape}")
     ei, ej = g.edge_arrays()
     return float(np.max(np.abs(np.einsum("ij,ij->i", v[ei].conj(), v[ej])), initial=0.0))
 
@@ -298,13 +301,21 @@ def hermitize(m) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
+def _numeric(a: np.ndarray, x, name: str) -> np.ndarray:
+    """``a = np.asarray(x)`` once every entry of ``x`` passes the one number check,
+    complex allowed; ints beyond int64, which numpy holds as objects, become complex."""
+    _check_numbers(x, a.shape, name, complex_ok=True)
+    return a.astype(complex) if a.dtype == object else a
+
+
 def _checked_hermitian(m, tol: float) -> np.ndarray:
-    """Hermitized copy of a square, finite, nonempty matrix, (conjugate) symmetric within tol."""
+    """Hermitized copy of a square, nonempty matrix of finite numbers, Hermitian within tol."""
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if a.shape[0] == 0:
         raise ValueError("matrix must have size >= 1")
+    a = _numeric(a, m, "matrix")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix must be finite and Hermitian, got non-finite entries")
     scale = max(1.0, float(np.max(np.abs(a))))
@@ -322,11 +333,12 @@ def gram_from_rep(rep: OrthRep, g: ExclusivityGraph) -> np.ndarray:
     has unit trace and zeros on edges when the representation passes
     verify_rep, and otherwise carries its residuals.  W.X >= S, with
     equality exactly when the handle is an eigenvector of sum_i w_i |v_i><v_i|.
+    A value S <= ``graph.DEFAULT_TOL * max(w)`` is refused as degenerate.
     """
     _check_aligned(rep, g)
     amp = rep.vectors @ rep.handle.conj()  # <psi|v_i>
     s = _value(g, amp)[1]
-    if s <= 1e-12 * float(np.max(g.weights)):
+    if s <= DEFAULT_TOL * float(np.max(g.weights)):
         raise ValueError(f"degenerate representation: achieved value {s!r}")
     k = math.frexp(s)[1] // 2  # 4^k is near S; power-of-two scaling is exact
     scaled = (np.sqrt(g.weights) * np.conj(amp) * 2.0 ** -k)[:, None] * rep.vectors
@@ -340,22 +352,22 @@ def rep_from_gram(x, g: ExclusivityGraph, tol: float = DEFAULT_TOL) -> OrthRep:
     Factors X = Y^T Y from its eigenvalues above ``tol * lambda_max``,
     normalizes the factor columns y_i into vertex vectors, and reconstructs
     the handle from sum_i sqrt(w_i) y_i (proportional to the top
-    eigenvector of the weighted projector sum at an optimum).  Vertices
-    whose factor column vanishes get a fresh appended coordinate axis each,
-    which keeps them unit and orthogonal to everything previously present.
+    eigenvector of the weighted projector sum at an optimum), refused when
+    its |.|^2 <= tol * max(w).  A vertex with |y_i|^2 <= tol * max_j |y_j|^2
+    gets a fresh appended axis, unit and orthogonal to everything else.
 
     A complex (Hermitian) X is replaced by its real part: Re X has the same
     trace, zero edges and value, and is PSD, so it is a real optimum.
-    ``tol`` bounds X's trace and edge deviations, sets the rank cut, and
-    is the PSD refusal floor: X is refused when an eigenvalue lies below
+    ``tol`` bounds X's trace, edge and symmetry deviations, sets the cuts,
+    and is the PSD refusal floor: X is refused when an eigenvalue lies below
     -tol * max(1, lambda_max), widened by n eps lambda_max of roundoff.
     Pass the tolerance X was solved at, so that X's own residuals are
     accepted; the default is the solver's, ``graph.DEFAULT_TOL``.
     """
     _check_tol("tol", tol)
-    a = np.asarray(np.real(x), dtype=float)
-    if a.shape != (g.n, g.n):
-        raise ValueError(f"expected a {g.n} x {g.n} matrix, got shape {a.shape}")
+    if np.shape(x) != (g.n, g.n):
+        raise ValueError(f"expected a {g.n} x {g.n} matrix, got shape {np.shape(x)}")
+    a = _checked_hermitian(x, tol).real
     tr_dev = abs(float(np.trace(a)) - 1.0)
     ei, ej = g.edge_arrays()
     edge_dev = float(np.max(np.abs(a[ei, ej]), initial=0.0))
@@ -364,7 +376,7 @@ def rep_from_gram(x, g: ExclusivityGraph, tol: float = DEFAULT_TOL) -> OrthRep:
             f"matrix is not feasible: trace deviation {tr_dev:.3e}, "
             f"edge deviation {edge_dev:.3e}"
         )
-    values, vectors = np.linalg.eigh(_checked_hermitian(a, tol))
+    values, vectors = np.linalg.eigh(a)
     lam_max = max(float(values[-1]), 0.0)
     roundoff = g.n * np.finfo(float).eps * lam_max
     if float(values[0]) < -tol * max(1.0, lam_max) - roundoff:
@@ -374,15 +386,13 @@ def rep_from_gram(x, g: ExclusivityGraph, tol: float = DEFAULT_TOL) -> OrthRep:
     keep = values > tol * lam_max
     y = np.sqrt(values[keep])[:, None] * vectors[:, keep].T
     r = y.shape[0]
-    if r == 0:
-        raise ValueError("matrix has numerical rank 0")
-    norms = np.linalg.norm(y, axis=0)
     handle_raw = y @ np.sqrt(g.weights)
     handle_norm = float(np.linalg.norm(handle_raw))
-    if handle_norm <= 1e-10 * math.sqrt(float(np.max(g.weights))):
+    if handle_norm ** 2 <= tol * float(np.max(g.weights)):
         raise ValueError("no handle recoverable: sum of weighted factor columns vanishes")
 
-    live = norms > 1e-6 * float(np.max(norms))
+    norms = np.linalg.norm(y, axis=0)
+    live = norms ** 2 > tol * float(np.max(norms)) ** 2
     fresh = g.n - int(np.count_nonzero(live))
     dim = r + fresh
     handle = np.zeros(dim)

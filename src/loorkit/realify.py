@@ -73,14 +73,14 @@ def projector_realify(rep: OrthRep, g: ExclusivityGraph) -> OrthRep:
     makes <psi|v_i> real and nonnegative.  So the output handle is M(psi)
     and output vector i is M of the phase-aligned v_i: v_i times the unit
     phase conj(<psi|v_i>)/|<psi|v_i>|, which leaves every |<psi|v_i>|^2
-    and every |<v_i|v_j>| unchanged.  A vector whose handle overlap is
-    below 1e-12 is left unrotated: any unit vector in range(Q_i) keeps
-    every orthogonality and contributes nothing to the value.
+    and every |<v_i|v_j>| unchanged.  A vector with |<psi|v_i>| at most
+    ``graph.DEFAULT_TOL`` is left unrotated: any phase keeps every
+    orthogonality, and its share of the value is below DEFAULT_TOL^2 w_i.
     """
     _check_aligned(rep, g)
     amp = rep.vectors @ rep.handle.conj()
     mag = np.abs(amp)
-    phase = np.where(mag > 1e-12, np.conj(amp) / np.where(mag > 1e-12, mag, 1.0), 1.0)
+    phase = np.where(mag > DEFAULT_TOL, np.conj(amp) / np.maximum(mag, DEFAULT_TOL), 1.0)
     return OrthRep("real", 2 * rep.dim, realify_map_M(rep.handle),
                    realify_map_M(phase[:, None] * rep.vectors))
 
@@ -94,7 +94,7 @@ def vector_realify(rep: OrthRep, g: ExclusivityGraph) -> OrthRep:
     real Householder reflection sends b onto the axis e_d; its mirror
     vector b + sign(b[d]) |b| e_d takes the sign of b[d] = Re psi[0], so it
     never cancels.  Coordinate d then holds each row's component along b,
-    which is zero, and is deleted.
+    Im <psi|v_i>: zero, or at most DEFAULT_TOL if unrotated.  It is deleted.
     """
     out = projector_realify(rep, g)
     d = rep.dim

@@ -16,7 +16,7 @@ from loorkit import (
     ExclusivityGraph, OrthRep, bbc21, cli, graph, independence_number, kcbs, loor, lovasz_theta,
     parse_graph, parse_rep, rep_from_gram, serialize_graph, serialize_rep, theta, verify_rep,
 )
-from util import gnp, random_unitary, report_cases, src_env
+from util import gnp, random_unitary, report_cases, src_env, tail_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -206,7 +206,7 @@ def test_extract_is_scale_free(factor, tmp_path, monkeypatch, capsys):
 
 def test_extract_refuses_its_own_output_when_it_fails_verify(tmp_path, monkeypatch, capsys):
     # G(40, .3) converges at tol 1e-6, but the representation extracted
-    # from its X has edge overlaps near 0.08, so it must not be emitted
+    # from its X has edge residual 3.3e-6, so it must not be emitted
     path = tmp_path / "g40.json"
     path.write_text(serialize_graph(gnp(np.random.default_rng(0), 40, 0.3)))
     code, out, err = run_cli(["extract", str(path), "--tol", "1e-6"],
@@ -268,6 +268,31 @@ def test_extract_accepts_the_psd_residual_of_its_own_solve(name, g, tmp_path, mo
     else:
         assert (code, out) == (1, "")
         assert "fails verification" in err and "edge residual" in err
+
+
+def _graphs_with_vertices_at_the_noise_level():
+    """Optima with diagonal entries X_ii at the solver's noise level, whose
+    vertices once got a normalized noise direction that broke edges (edge
+    residual 1.0 on tail seed 214): (name, graph, extract's --tol)."""
+    cases = [("tail214", tail_graph(214), None)]
+    cases += [(f"tail{s}", tail_graph(s), "1e-6") for s in (290, 292, 295)]
+    return cases + [(c.name, c.graph, "1e-6") for c in _load_bench_corpus().sdp_cases(1)
+                    if c.name in ("gnp1-n15", "gnp3-n23")]
+
+
+NOISE_LEVEL_CASES = _graphs_with_vertices_at_the_noise_level()
+
+
+@pytest.mark.parametrize("name, g, tol", NOISE_LEVEL_CASES,
+                         ids=[name for name, _, _ in NOISE_LEVEL_CASES])
+def test_extract_gives_vanishing_vertices_fresh_axes(name, g, tol, tmp_path, monkeypatch, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(serialize_graph(g))
+    tol_args = [] if tol is None else ["--tol", tol]
+    code, out, err = run_cli(["extract", str(path), *tol_args], capsys=capsys,
+                             monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert verify_rep(parse_rep(out), g, tol=graph.DEFAULT_TOL if tol is None else float(tol)).passed
 
 
 def test_extract_single_vertex(tmp_path, monkeypatch, capsys):

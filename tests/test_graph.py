@@ -273,6 +273,22 @@ def test_orthogonality_graph_rejects_bad_vectors():
             orthogonality_graph(np.array(vectors))
     with pytest.raises(ValueError, match="shape"):
         orthogonality_graph(np.ones(3))
+    # numpy would read a bool as 1 and "1" as 1.0
+    with pytest.raises(ValueError, match=r"vectors\[0\]\[0\] must be a number, got np.True_"):
+        orthogonality_graph(np.eye(2, dtype=bool))
+    with pytest.raises(ValueError, match=r"vectors\[1\]\[1\] must be a number, got '1'"):
+        orthogonality_graph([[1, 0], [0, "1"]])
+    with pytest.raises(ValueError, match="vector 0 is not unit"):
+        orthogonality_graph([[10**19, 0]])  # an int beyond int64 is a number
+
+
+@pytest.mark.parametrize("rows", [2, 4])
+def test_max_edge_overlap_refuses_vectors_misaligned_with_the_graph(rows):
+    g = ExclusivityGraph(n=3, weights=np.ones(3), edges=((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match=rf"shape \(3, d\) for 3 vertices, got \({rows}, 2\)"):
+        max_edge_overlap(np.eye(rows, 2), g)
+    with pytest.raises(ValueError, match=r"got \(3,\)"):
+        max_edge_overlap(np.ones(3), g)
 
 
 def test_orthogonality_graph_judges_norms_at_its_tol():

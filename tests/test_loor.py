@@ -292,6 +292,19 @@ def test_rep_from_gram_rank_cut_follows_tol(eigenvalue, tol, dim):
     assert rep_from_gram(x, g, tol=tol).dim == dim
 
 
+@pytest.mark.parametrize(("tol", "dim"), [(None, 2), (1e-11, 1)], ids=["default", "1e-11"])
+def test_rep_from_gram_vanishing_vertex_follows_tol(tol, dim):
+    # X = u u^T with |u_2|^2 = 1e-10: vanishing at the default tol, so
+    # vertex 2 gets a fresh axis, orthogonal to the handle; live at 1e-11
+    u = np.array([0.6, 0.8, 1e-5])
+    u /= np.linalg.norm(u)
+    g = ExclusivityGraph(n=3, weights=np.ones(3), edges=())
+    rep = rep_from_gram(np.outer(u, u), g, **({} if tol is None else {"tol": tol}))
+    assert rep.dim == dim
+    if dim == 2:
+        assert rep.vectors[2] @ rep.handle == 0.0
+
+
 def test_extracted_rep_gives_its_graph_back_at_the_default_tol():
     # the edge residual of G(150)'s extract is 5.8e-9: within the default
     # tol, but not within 1e-9
@@ -344,17 +357,21 @@ def test_rep_from_gram_feasibility_follows_tol(tol, accepted):
     ("x", "kwargs", "fragment"),
     [
         (np.eye(4) / 4.0, {}, "expected a 5 x 5 matrix"),
-        (np.zeros((5, 5)), {"tol": 2.0}, "numerical rank 0"),
+        (np.zeros((5, 5)), {"tol": 2.0}, "no handle recoverable"),
         (np.full((5, 5), np.nan), {}, "finite"),
         (np.eye(5) / 5.0 + 0.1 * np.eye(5, k=2), {}, "symmetry"),
+        (np.eye(5) / 5.0 + 0.1j * (np.eye(5, k=2) + np.eye(5, k=-2)), {}, "symmetry"),
+        ([[0.2 if i == j else "0" if (i, j) == (0, 2) else 0 for j in range(5)] for i in range(5)],
+         {}, r"matrix\[0\]\[2\] must be a number, got '0'"),
+        (np.eye(5, dtype=bool), {}, r"matrix\[0\]\[0\] must be a number, got np.True_"),
         (np.eye(5) / 5.0, {"tol": 0.0}, "^tol must be"),
         (np.eye(5) / 5.0, {"tol": -1.0}, "^tol must be"),
         (np.eye(5) / 5.0, {"tol": float("inf")}, "^tol must be"),
         (np.eye(5) / 5.0, {"tol": float("nan")}, "^tol must be"),
         (np.eye(5) / 5.0, {"tol": True}, "^tol must be"),
     ],
-    ids=["wrong-shape", "rank-0", "nan-x", "asymmetric", "zero-tol", "negative-tol",
-         "inf-tol", "nan-tol", "bool-tol"],
+    ids=["wrong-shape", "rank-0", "nan-x", "asymmetric", "non-hermitian", "string-entry",
+         "bool-entries", "zero-tol", "negative-tol", "inf-tol", "nan-tol", "bool-tol"],
 )
 def test_rep_from_gram_refusals_name_the_cause(x, kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):

@@ -56,6 +56,13 @@ def test_block_embed_rejects_non_hermitian():
             block_embed(np.zeros(shape))
     with pytest.raises(ValueError, match="must have size >= 1"):
         block_embed(np.zeros((0, 0)))
+    # numpy would read a bool as 1 and "1.0" as 1.0
+    with pytest.raises(ValueError, match=r"matrix\[0\]\[0\] must be a number, got True"):
+        block_embed([[True]])
+    with pytest.raises(ValueError, match=r"matrix\[1\]\[1\] must be a number, got '1.0'"):
+        block_embed([[1.0, 0.0], [0.0, "1.0"]])
+    # an int beyond int64, which numpy holds as an object, is a number
+    assert block_embed([[10**19]]).tolist() == [[1e19, 0.0], [0.0, 1e19]]
 
 
 def test_block_embed_psd_equivalence_200_random():

@@ -15,7 +15,8 @@ from loorkit import (
 )
 from loorkit import theta
 from loorkit.theta import psd_part
-from util import gnp, odd_cycle, odd_cycle_theta, phase_rotated, random_graph, report_cases
+from util import (gnp, odd_cycle, odd_cycle_theta, phase_rotated, random_graph, report_cases,
+                  tail_graph)
 
 
 def weighted_gnp20():
@@ -252,11 +253,8 @@ def test_g40_converges_with_a_certified_gap():
 def test_residual_balancing_keeps_a_slow_solve_short():
     # G(29, .49), 201 edges: 2,675 iterations with residual balancing,
     # 15,050 with rho held at 1
-    rng = np.random.default_rng(250)
-    n = int(rng.integers(20, 45))
-    p = float(rng.uniform(0.1, 0.7))
-    g = gnp(rng, n, p)
-    assert (n, len(g.edges)) == (29, 201)
+    g = tail_graph(250)
+    assert (g.n, len(g.edges)) == (29, 201)
     assert_certified(lovasz_theta(g, tol=1e-8, max_iters=6_000), 1e-8)
 
 

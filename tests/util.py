@@ -52,6 +52,15 @@ def scan_graph(seed: int) -> ExclusivityGraph:
     return g
 
 
+def tail_graph(seed: int) -> ExclusivityGraph:
+    """"Tail seed s": G(n, p) with n in [20, 44] and p in [0.1, 0.7], unit
+    weights, drawn from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 45))
+    p = float(rng.uniform(0.1, 0.7))
+    return gnp(rng, n, p)
+
+
 def report_cases() -> dict[str, ExclusivityGraph]:
     """Graphs whose solve once stopped on a point below the lower end it
     printed: K5 with weights 1 to 5, and two ``scan_graph`` draws.  Each
