@@ -45,7 +45,7 @@ def independence_number(g: ExclusivityGraph) -> tuple[float, tuple[int, ...]]:
     (math.fsum): on an edge weighted 1 and 1 + 1e-10 it is (1.0, (0,)).
     """
     n = g.n
-    w = [float(x) for x in g.weights]
+    w = g.weight_tuple
     order = sorted(range(n), key=lambda v: (-w[v], v))  # vertex at each label
     label = [0] * n
     for b, v in enumerate(order):

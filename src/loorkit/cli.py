@@ -10,7 +10,8 @@ byte-identical); ``--format text`` renders the reports of ``theta``,
 
 Each command imports only the modules it calls, and the flag default
 owned by a module (``--max-iters``) is read from it once the command has
-imported it.
+imported it.  So only the commands that do linear algebra load numpy:
+``alpha`` and ``instance --what graph`` never do, every other command does.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import argparse
 import json
 import math
 import sys
-
-import numpy as np
 
 from . import graph as graph_mod
 
@@ -133,7 +132,7 @@ def _cmd_realify(args) -> int:
 
     rep = loor_mod.parse_rep(_read_text(args.rep_path))
     n = rep.n
-    g = graph_mod.ExclusivityGraph(n=n, weights=np.ones(n), edges=())
+    g = graph_mod.ExclusivityGraph(n=n, weights=[1.0] * n, edges=())
     convert = (realify_mod.projector_realify if args.method == "projector"
                else realify_mod.vector_realify)
     _emit(loor_mod.serialize_rep(convert(rep, g), indent=2), args)
@@ -183,7 +182,6 @@ def _cmd_orthograph(args) -> int:
 
 def _cmd_instance(args) -> int:
     from . import instances as instances_mod
-    from . import loor as loor_mod
 
     by_name = {inst.name: inst for inst in instances_mod.all_instances()}
     if args.name not in by_name:
@@ -192,6 +190,8 @@ def _cmd_instance(args) -> int:
     if args.what == "graph":
         _emit(graph_mod.serialize_graph(inst.graph, indent=2), args)
         return EXIT_OK
+    from . import loor as loor_mod
+
     rep = inst.complex_rep if args.what == "rep-complex" else inst.real_rep
     if rep is None:
         raise ValueError(f"instance {args.name!r} has no {args.what} representation")

@@ -10,33 +10,52 @@
 
 All entries are exact algebraic constants (square roots, cosines of
 rational multiples of pi) evaluated in double precision at call time, so
-residuals sit at machine epsilon.
+residuals sit at machine epsilon.  Each graph is stored as a literal, the
+orthogonality graph of its rays at ``graph.DEFAULT_TOL``.  The graphs load
+no numpy; a representation loads numpy and ``loor`` when it is first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+import math
+from functools import cached_property
 
 from .graph import ExclusivityGraph
-from .loor import OrthRep, orthogonality_graph
 
 __all__ = ["NamedInstance", "all_instances", "kcbs", "bbc21"]
 
 
-@dataclass(frozen=True)
 class NamedInstance:
-    name: str
-    graph: ExclusivityGraph
-    complex_rep: OrthRep | None
-    real_rep: OrthRep | None
-    theta_reference: float
-    alpha_reference: float
+    """A built-in instance: its name, graph and reference values, and its
+    complex and real representations (None where it has none), built by
+    ``reps`` on first read."""
+
+    def __init__(self, name: str, graph: ExclusivityGraph, theta_reference: float,
+                 alpha_reference: float, reps):
+        self.name = name
+        self.graph = graph
+        self.theta_reference = theta_reference
+        self.alpha_reference = alpha_reference
+        self._build_reps = reps
+
+    @cached_property
+    def _reps(self) -> tuple:
+        return self._build_reps()
+
+    @property
+    def complex_rep(self):
+        return self._reps[0]
+
+    @property
+    def real_rep(self):
+        return self._reps[1]
 
 
-def kcbs() -> NamedInstance:
-    """Pentagon instance: cyclic exclusivity, unit weights, value sqrt(5)."""
+def _kcbs_reps() -> tuple:
+    import numpy as np
+
+    from .loor import OrthRep
+
     tau = np.sqrt(1.0 / np.sqrt(5.0))
     rest = np.sqrt(1.0 - tau**2)
     vectors = np.zeros((5, 3))
@@ -44,23 +63,22 @@ def kcbs() -> NamedInstance:
         phi = 2.0 * np.pi * (2 * j - 1) / 5.0
         vectors[j - 1] = (tau, rest * np.cos(phi), rest * np.sin(phi))
     handle = np.array([1.0, 0.0, 0.0])
+    return None, OrthRep("real", 3, handle, vectors)
+
+
+def kcbs() -> NamedInstance:
+    """Pentagon instance: cyclic exclusivity, unit weights, value sqrt(5)."""
     graph = ExclusivityGraph(
         n=5,
-        weights=np.ones(5),
+        weights=[1.0] * 5,
         edges=((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)),
     )
-    rep = OrthRep("real", 3, handle, vectors)
-    return NamedInstance(
-        name="kcbs",
-        graph=graph,
-        complex_rep=None,
-        real_rep=rep,
-        theta_reference=float(np.sqrt(5.0)),
-        alpha_reference=2.0,
-    )
+    return NamedInstance("kcbs", graph, math.sqrt(5.0), 2.0, _kcbs_reps)
 
 
-def _bbc21_rays() -> np.ndarray:
+def _bbc21_rays():
+    import numpy as np
+
     w = np.exp(2j * np.pi / 3.0)
     wb = np.conj(w)
     s2 = 1.0 / np.sqrt(2.0)
@@ -91,7 +109,9 @@ def _bbc21_rays() -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _bbc21_real_vectors() -> np.ndarray:
+def _bbc21_real_vectors():
+    import numpy as np
+
     s2 = 1.0 / np.sqrt(2.0)
     q8 = 1.0 / (2.0 * np.sqrt(2.0))
     t8 = np.sqrt(3.0) / (2.0 * np.sqrt(2.0))
@@ -123,23 +143,29 @@ def _bbc21_real_vectors() -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+# the orthogonality graph of _bbc21_rays() at graph.DEFAULT_TOL
+_BBC21_EDGES = (
+    (0, 9), (0, 12), (0, 17), (0, 19), (1, 10), (1, 12), (1, 15), (1, 18),
+    (2, 11), (2, 12), (2, 13), (2, 14), (3, 9), (3, 14), (3, 16), (3, 18),
+    (4, 10), (4, 14), (4, 17), (4, 20), (5, 11), (5, 15), (5, 16), (5, 17),
+    (6, 9), (6, 13), (6, 15), (6, 20), (7, 10), (7, 13), (7, 16), (7, 19),
+    (8, 11), (8, 18), (8, 19), (8, 20), (9, 10), (9, 11), (10, 11), (12, 16),
+    (12, 20), (13, 17), (13, 18), (14, 15), (14, 19), (15, 19), (16, 20), (17, 18),
+)
+
+
+def _bbc21_reps() -> tuple:
+    from .loor import OrthRep
+
+    return (OrthRep("complex", 3, [1, 0, 0], _bbc21_rays()),
+            OrthRep("real", 5, [1, 0, 0, 0, 0], _bbc21_real_vectors()))
+
+
 def bbc21() -> NamedInstance:
-    """21-ray instance: weights 3 and 5, graph derived from the rays."""
-    rays = _bbc21_rays()
-    weights = np.concatenate([np.full(9, 3.0), np.full(12, 5.0)])
-    graph = orthogonality_graph(rays, weights)
-    handle_c = np.array([1, 0, 0], dtype=complex)
-    handle_r = np.array([1, 0, 0, 0, 0], dtype=float)
-    return NamedInstance(
-        name="bbc21",
-        graph=graph,
-        complex_rep=OrthRep("complex", 3, handle_c, rays),
-        real_rep=OrthRep("real", 5, handle_r, _bbc21_real_vectors()),
-        theta_reference=29.0,
-        alpha_reference=27.0,
-    )
+    """21-ray instance: weights 3 and 5, graph the rays' orthogonality graph."""
+    graph = ExclusivityGraph(n=21, weights=[3.0] * 9 + [5.0] * 12, edges=_BBC21_EDGES)
+    return NamedInstance("bbc21", graph, 29.0, 27.0, _bbc21_reps)
 
 
 def all_instances() -> tuple[NamedInstance, ...]:
     return (kcbs(), bbc21())
-

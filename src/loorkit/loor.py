@@ -19,11 +19,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .graph import (DEFAULT_TOL, ExclusivityGraph, _check_numbers, _check_tol, _is_int, _is_number,
-                    _load_document, _walk)
+from .graph import (DEFAULT_TOL, ExclusivityGraph, _check_tol, _float_types, _is_int, _is_number,
+                    _load_document)
 
 __all__ = [
     "OrthRep",
@@ -64,6 +65,42 @@ def _norm_deviation(v) -> np.ndarray:
 def _max_norm_deviation(handle: np.ndarray, vectors: np.ndarray) -> float:
     """Worst |norm - 1| over the handle and the vector rows."""
     return float(np.max(np.concatenate(([_norm_deviation(handle)], _norm_deviation(vectors)))))
+
+
+def _walk(x, name: str, depth: int, need, index: tuple[int, ...] = ()) -> None:
+    """Raise naming the first entry ``depth`` lists deep in ``x`` that fails
+    ``need``, a pair (what, test), as "<where> must be <what>, got ...", or
+    the first entry above them that is not a list (or a tuple or an array,
+    which library calls may give)."""
+    where = name + "".join(f"[{k}]" for k in index) if index else f"'{name}'"
+    if depth == 0:
+        what, test = need
+        if not test(x):
+            raise ValueError(f"{where} must be {what}, got {x!r}")
+    elif not isinstance(x, (list, tuple, np.ndarray)):
+        raise ValueError(f"{where} must be a list, got {x!r}")
+    else:
+        for k, s in enumerate(x):
+            _walk(s, name, depth - 1, need, index + (k,))
+
+
+def _check_numbers(x, shape: tuple[int, ...], name: str, complex_ok: bool = False) -> None:
+    """The check of the numbers in vectors and matrices: refuse the first
+    entry of ``x``, nested lists, tuples or arrays of ``shape``, that is not
+    a real number (or a complex one, when ``complex_ok``).  numpy would read True and "1.0" as
+    1.0, so the entries are checked before any conversion.  An ndarray of a
+    numeric kind passes at once, other input on the set of its entries'
+    types; the entries are walked only to name the first bad one."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in ("iufc" if complex_ok else "iuf"):
+        return
+    extra = (complex, np.complexfloating) if complex_ok else ()
+    entries = x
+    for _ in shape[1:]:
+        entries = chain.from_iterable(entries)
+    if _float_types(t for t in set(map(type, entries)) if not issubclass(t, extra)):
+        return
+    number = "a number" if complex_ok else "a real number"
+    _walk(x, name, len(shape), (number, lambda s: _is_number(s) or isinstance(s, extra)))
 
 
 def _rectangular(x, name: str, shape: str) -> np.ndarray:

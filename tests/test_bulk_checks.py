@@ -4,6 +4,7 @@ encoders below): the same inputs accepted, the same values stored, the
 same messages (for representation documents, the same refusals), and
 byte-identical documents."""
 
+import hashlib
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from loorkit import (ExclusivityGraph, OrthRep, RepFormatError, parse_rep, serialize_graph,
                      serialize_rep)
-from util import oracle_graph, oracle_scalars
+from util import bench_corpus, gnp, oracle_graph, oracle_scalars
 
 FLOAT_MAX = sys.float_info.max
 
@@ -135,6 +136,8 @@ def test_constructor_matches_the_per_entry_oracle(case):
     assert g.weights.dtype == w.dtype and g.weights.tobytes() == w.tobytes()
     assert g.edges == edges
     assert all(type(i) is int and type(j) is int for i, j in g.edges)
+    ei, ej = g.edge_arrays()
+    assert np.array_equal(np.column_stack((ei, ej)), np.array(edges, dtype=np.intp).reshape(-1, 2))
 
 
 scalar_entries = st.one_of(
@@ -296,10 +299,13 @@ def test_edge_arrays_are_the_edges_and_read_only(n, data):
     vertex = st.integers(0, n - 1)
     edges = data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
                                max_size=12)) if n > 1 else []
-    g = ExclusivityGraph(n, np.ones(n), edges)
+    g = ExclusivityGraph(n, [1.0] * n, edges)
+    assert g.weights.dtype == np.float64 and g.weights.shape == (n,)
     ei, ej = g.edge_arrays()
     expected = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2)
     assert ei.dtype == ej.dtype == np.intp
+    # built on first use, once
+    assert g.weights is g.weights and all(a is b for a, b in zip(g.edge_arrays(), (ei, ej)))
     assert np.array_equal(ei, expected[:, 0]) and np.array_equal(ej, expected[:, 1])
     for column in (ei, ej):
         with pytest.raises(ValueError, match="read-only"):
@@ -307,3 +313,24 @@ def test_edge_arrays_are_the_edges_and_read_only(n, data):
         with pytest.raises(ValueError):
             column.setflags(write=True)
     assert np.array_equal(g.edge_arrays()[0], expected[:, 0])
+
+
+def serialize_graph_from_arrays(g, indent=None) -> str:
+    """The encoder as it stood when the graph stored numpy arrays."""
+    index = np.column_stack(g.edge_arrays())
+    return json.dumps({"n": g.n, "weights": g.weights.tolist(), "edges": index.tolist()},
+                      indent=indent)
+
+
+def test_serialize_graph_is_unchanged_on_the_benchmark_graphs():
+    corpus = bench_corpus()
+    graphs = [c.graph for c in corpus.sdp_cases(1)] + corpus.alpha_graphs()
+    graphs += [gnp(np.random.default_rng(0), 40, 0.3), gnp(np.random.default_rng(300), 300, 0.3)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        for indent in (None, 2):
+            text = serialize_graph(g, indent)
+            assert text == serialize_graph_from_arrays(g, indent)
+            digest.update(text.encode())
+    # the documents' digest when the graph layer stored numpy arrays
+    assert digest.hexdigest() == "9ba3f35db3c977c08b792b25bc1637522f191c0bdda3b635378340ba134479a3"

@@ -1,5 +1,4 @@
 import argparse
-import importlib.util
 import inspect
 import io
 import json
@@ -16,7 +15,7 @@ from loorkit import (
     ExclusivityGraph, OrthRep, bbc21, cli, graph, independence_number, kcbs, loor, lovasz_theta,
     parse_graph, parse_rep, rep_from_gram, serialize_graph, serialize_rep, theta, verify_rep,
 )
-from util import gnp, random_unitary, report_cases, src_env, tail_graph
+from util import bench_corpus, gnp, random_unitary, report_cases, src_env, tail_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -233,14 +232,6 @@ def test_extract_reports_an_unfactorable_optimum_as_a_failure(tmp_path, monkeypa
     assert "positive semidefinite" in err
 
 
-def _load_bench_corpus():
-    spec = importlib.util.spec_from_file_location("bench_corpus", ROOT / "bench" / "corpus.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
 def _graphs_refused_as_not_psd_at_loose_tol():
     """The unit-weight 13-cycle, four graphs of the benchmark's sdp corpus
     (seed 1) and G(40, .3), whose optima the Gram factorization refused at
@@ -249,7 +240,7 @@ def _graphs_refused_as_not_psd_at_loose_tol():
     graphs = [("C13", ExclusivityGraph(n=n, weights=np.ones(n),
                                        edges=tuple((i, (i + 1) % n) for i in range(n))))]
     names = ("gnp0-n11", "gnp2-n20-w", "gnp3-n23", "C25")
-    graphs += [(c.name, c.graph) for c in _load_bench_corpus().sdp_cases(1) if c.name in names]
+    graphs += [(c.name, c.graph) for c in bench_corpus().sdp_cases(1) if c.name in names]
     return graphs + [("G40", gnp(np.random.default_rng(0), 40, 0.3))]
 
 
@@ -276,7 +267,7 @@ def _graphs_with_vertices_at_the_noise_level():
     residual 1.0 on tail seed 214): (name, graph, extract's --tol)."""
     cases = [("tail214", tail_graph(214), None)]
     cases += [(f"tail{s}", tail_graph(s), "1e-6") for s in (290, 292, 295)]
-    return cases + [(c.name, c.graph, "1e-6") for c in _load_bench_corpus().sdp_cases(1)
+    return cases + [(c.name, c.graph, "1e-6") for c in bench_corpus().sdp_cases(1)
                     if c.name in ("gnp1-n15", "gnp3-n23")]
 
 

@@ -80,8 +80,15 @@ def test_import_loorkit_loads_no_submodule_and_no_numpy():
 
 @pytest.mark.parametrize("code", ["import loorkit.cli", "from loorkit import cli"])
 def test_import_cli_adds_only_graph(code):
-    modules, _ = loaded_after(code)
-    assert modules == {"loorkit", "loorkit.cli", "loorkit.graph"}
+    assert loaded_after(code) == ({"loorkit", "loorkit.cli", "loorkit.graph"}, False)
+
+
+@pytest.mark.parametrize("module", ["graph", "alpha"])
+def test_the_graph_layer_loads_no_numpy(module):
+    # a graph and its alpha are combinatorics; only theta and the
+    # representations need linear algebra
+    modules, numpy = loaded_after(f"import loorkit.{module}")
+    assert f"loorkit.{module}" in modules and not numpy
 
 
 @pytest.fixture(scope="module")
@@ -93,16 +100,21 @@ def bbc_dir(tmp_path_factory):
     return d
 
 
+# what each command loads beyond loorkit, cli and graph: loorkit modules by
+# their short names, and numpy
 @pytest.mark.parametrize("argv, added", [
-    (["theta", "bbc.json", "--tol", "1e-6"], {"theta"}),
+    (["theta", "bbc.json", "--tol", "1e-6"], {"theta", "numpy"}),
     (["alpha", "bbc.json"], {"alpha"}),
-    (["extract", "bbc.json"], {"theta", "loor"}),
-    (["verify", "rc.json", "--graph", "bbc.json", "--target", "29"], {"loor"}),
-    (["orthograph", "rc.json"], {"loor"}),
-    (["realify", "rc.json", "--method", "vector"], {"loor", "realify"}),
-    (["instance", "bbc21"], {"instances", "loor"}),
+    (["extract", "bbc.json"], {"theta", "loor", "numpy"}),
+    (["verify", "rc.json", "--graph", "bbc.json", "--target", "29"], {"loor", "numpy"}),
+    (["orthograph", "rc.json"], {"loor", "numpy"}),
+    (["realify", "rc.json", "--method", "vector"], {"loor", "realify", "numpy"}),
+    (["instance", "bbc21"], {"instances"}),
+    (["instance", "bbc21", "--what", "rep-complex"], {"instances", "loor", "numpy"}),
+    (["instance", "kcbs"], {"instances"}),
 ], ids=lambda x: x[0] if isinstance(x, list) else None)
 def test_each_command_loads_only_the_modules_it_calls(bbc_dir, argv, added):
     code = "from loorkit.cli import main; assert main(sys.argv[1:]) == 0"
-    modules, _ = loaded_after(code, *argv, "--output", "out.json", cwd=bbc_dir)
-    assert modules == {"loorkit", "loorkit.cli", "loorkit.graph"} | {f"loorkit.{m}" for m in added}
+    modules, numpy = loaded_after(code, *argv, "--output", "out.json", cwd=bbc_dir)
+    loaded = {m.removeprefix("loorkit.") for m in modules} | ({"numpy"} if numpy else set())
+    assert loaded == {"loorkit", "cli", "graph"} | added

@@ -7,10 +7,32 @@ from loorkit import (
     certify_operator,
     independence_number,
     kcbs,
+    orthogonality_graph,
     rep_value,
     vector_realify,
     verify_rep,
 )
+from loorkit.graph import DEFAULT_TOL
+
+
+@pytest.mark.parametrize("make, field", [(bbc21, "complex"), (kcbs, "real")],
+                         ids=["bbc21-rays", "kcbs-real"])
+def test_stored_graph_is_the_orthogonality_graph_of_its_rep(make, field):
+    # the graphs are stored as literals; each must stay the exclusivity
+    # graph of its rays, the contract of the paper
+    inst = make()
+    rep = inst.complex_rep if field == "complex" else inst.real_rep
+    assert orthogonality_graph(rep.vectors, inst.graph.weight_tuple, tol=DEFAULT_TOL) == inst.graph
+
+
+def test_bbc21_real_form_keeps_every_edge_and_adds_orthogonal_pairs():
+    # the five-dimensional real form is an orthogonal representation of the
+    # graph, not of its exclusivity structure: a pair whose complex overlap
+    # is purely imaginary becomes orthogonal too
+    inst = bbc21()
+    derived = orthogonality_graph(inst.real_rep.vectors, inst.graph.weight_tuple, tol=DEFAULT_TOL)
+    assert set(inst.graph.edges) < set(derived.edges)
+    assert len(derived.edges) - len(inst.graph.edges) == 15
 
 
 def test_every_stored_rep_verifies():

@@ -106,6 +106,20 @@ def test_verify_rep_rejects_bad_arguments(argument, value):
         verify_rep(inst.real_rep, inst.graph, **kwargs)
 
 
+@pytest.mark.parametrize("tol", [None, "1e-8", [1e-8], 1j],
+                         ids=["none", "string", "list", "complex"])
+@pytest.mark.parametrize("call", [
+    lambda inst, tol: lovasz_theta(inst.graph, tol=tol),
+    lambda inst, tol: verify_rep(inst.real_rep, inst.graph, tol=tol),
+    lambda inst, tol: rep_from_gram(np.eye(5) / 5.0, inst.graph, tol=tol),
+    lambda inst, tol: orthogonality_graph(inst.real_rep.vectors, tol=tol),
+], ids=["lovasz_theta", "verify_rep", "rep_from_gram", "orthogonality_graph"])
+def test_a_tol_that_is_not_a_number_is_refused_naming_it(call, tol):
+    # a ValueError, as each of them promises, not the TypeError of comparing the tol with 0
+    with pytest.raises(ValueError, match=r"^tol must be positive and finite, got "):
+        call(kcbs(), tol)
+
+
 @pytest.mark.parametrize(
     ("factor", "target", "passed"),
     [(1e-22, 0.0, False), (1e13, "value", True), (1e13, "theta", True)],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
 import sys
@@ -289,3 +290,13 @@ def src_env() -> dict:
     """The environment for a fresh interpreter that imports this checkout's loorkit."""
     src = str(Path(loorkit.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def bench_corpus():
+    """The benchmark's ``corpus`` module, loaded from this checkout's ``bench/``."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_corpus", Path(__file__).resolve().parents[1] / "bench" / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
