@@ -2,11 +2,17 @@
 
 Exit codes: 0 success/verified, 1 verification failure (also an
 ``extract`` whose solver optimum does not factor into a representation,
-or whose representation fails ``verify``), 2 input error, 3 solver
+whose representation fails ``verify``, or whose representation's value
+lies outside the solve's bracket), 2 input error, 3 solver
 non-convergence.  Output is JSON by default (floats serialized
 with shortest round-trip representation, so identical runs are
 byte-identical); ``--format text`` renders the reports of ``theta``,
 ``alpha`` and ``verify`` as small human tables.
+
+The console script and ``python -m loorkit`` (``run``) flush stdout and
+stderr once ``main`` returns and end the process by ``os._exit``, without
+interpreter teardown.  A write or flush that fails (a closed pipe, a full
+disk) prints ``error: <reason>`` to stderr and exits 2.
 
 Each command imports only the modules it calls, and the flag default
 owned by a module (``--max-iters``) is read from it once the command has
@@ -17,8 +23,10 @@ imported it.  So only the commands that do linear algebra load numpy:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 
 from . import graph as graph_mod
@@ -121,6 +129,12 @@ def _cmd_extract(args) -> int:
         print(f"extracted representation fails verification at tol {args.tol!r}: "
               f"max norm residual {report.max_norm_residual:.3e}, "
               f"max edge residual {report.max_edge_residual:.3e}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
+    # an orthogonal representation is worth at most theta, so at most the
+    # certified upper bound; below, the rep may lose tol * upper to the rank cut
+    if not sol.lower - args.tol * sol.upper <= report.value <= sol.upper:
+        print(f"extracted representation's value {report.value!r} lies outside the solve's "
+              f"bracket [{sol.lower!r}, {sol.upper!r}] at tol {args.tol!r}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     _emit(loor_mod.serialize_rep(rep, indent=2), args)
     return EXIT_OK
@@ -292,4 +306,20 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """The console script and ``python -m loorkit``: ``main()``, then exit.
+
+    The process ends by ``os._exit`` once both streams are flushed, so it
+    skips interpreter teardown.  A flush that fails is an output error:
+    it is named on stderr and the exit code is 2.  An exception that
+    escapes ``main()`` takes the interpreter's path (traceback, exit 1).
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:  # a stream closed before the process started
+                stream.flush()
+        except OSError as exc:
+            code = EXIT_INPUT_ERROR
+            with contextlib.suppress(OSError):
+                print(f"error: {exc}", file=sys.stderr)
+    os._exit(code)

@@ -15,8 +15,8 @@ from loorkit import (
 )
 from loorkit import theta
 from loorkit.theta import psd_part
-from util import (gnp, odd_cycle, odd_cycle_theta, phase_rotated, random_graph, report_cases,
-                  tail_graph)
+from util import (disjoint_union, gnp, join, odd_cycle, odd_cycle_theta, or_product,
+                  phase_rotated, random_graph, report_cases, strong_product, tail_graph)
 
 
 def weighted_gnp20():
@@ -315,6 +315,33 @@ def test_reference_lies_in_the_bracket(g, reference, solve):
     assert_certified(sol, 1e-8)
     assert sol.lower <= reference <= sol.upper
     assert sol.iterations <= 100
+
+
+# Each composite's theta is a function of its factors' thetas that is
+# monotone in both (Lovász 1979; Knuth 1994 for the weighted forms), so
+# the factors' brackets give a reference bracket for the composite.
+COMPOSITES = {
+    "union": (disjoint_union, lambda s, t: s + t),
+    "join": (join, max),
+    "strong": (strong_product, lambda s, t: s * t),
+    "or": (or_product, lambda s, t: s * t),
+}
+
+
+@pytest.mark.parametrize("compose", COMPOSITES)
+def test_composite_brackets_meet_the_reference_of_their_factors(compose):
+    build, combine = COMPOSITES[compose]
+    factors = [kcbs().graph, gnp(np.random.default_rng(8), 8, 0.4),
+               gnp(np.random.default_rng(9), 9, 0.3)]
+    sols = [lovasz_theta(f) for f in factors]
+    rng = np.random.default_rng(12)
+    for i in range(len(factors)):
+        for j in range(i, len(factors)):
+            sol = lovasz_theta(build(factors[i], factors[j], rng))
+            assert sol.converged, (i, j)
+            lower = combine(sols[i].lower, sols[j].lower)
+            upper = combine(sols[i].upper, sols[j].upper)
+            assert sol.lower <= upper and lower <= sol.upper, (i, j, sol, lower, upper)
 
 
 # iterations to converge at tol 1e-8: cheaper iterations and checks must

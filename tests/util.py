@@ -71,6 +71,57 @@ def report_cases() -> dict[str, ExclusivityGraph]:
     return {"K5-weighted": k5, "scan183": scan_graph(183), "scan243": scan_graph(243)}
 
 
+def _relabelled(rng, weights, edges) -> ExclusivityGraph:
+    """The graph on vertices 0..n-1 with these weights and edges, each
+    vertex i renamed to perm[i] for a random permutation drawn from rng."""
+    perm = rng.permutation(len(weights))
+    renamed = np.empty(len(weights))
+    renamed[perm] = weights
+    return ExclusivityGraph(len(weights), renamed,
+                            tuple((int(perm[i]), int(perm[j])) for i, j in edges))
+
+
+def _side_by_side(g, h, rng, cross) -> ExclusivityGraph:
+    """g's vertices, then h's, with each factor's edges plus ``cross`` (pairs
+    (i, j) of g's i and h's j joined); randomly relabelled."""
+    edges = [*g.edges, *((g.n + i, g.n + j) for i, j in h.edges), *((i, g.n + j) for i, j in cross)]
+    return _relabelled(rng, [*g.weight_tuple, *h.weight_tuple], edges)
+
+
+def disjoint_union(g: ExclusivityGraph, h: ExclusivityGraph, rng) -> ExclusivityGraph:
+    """g + h, no edge between the two.  Weighted theta adds."""
+    return _side_by_side(g, h, rng, ())
+
+
+def join(g: ExclusivityGraph, h: ExclusivityGraph, rng) -> ExclusivityGraph:
+    """g + h with every vertex of g joined to every vertex of h.  Weighted
+    theta takes the max of the two."""
+    return _side_by_side(g, h, rng, ((i, j) for i in range(g.n) for j in range(h.n)))
+
+
+def _product(g, h, rng, adjacent) -> ExclusivityGraph:
+    """Vertices (a, b) weighted w_a w_b; (a, b) ~ (c, d) when ``adjacent(a ~ c,
+    a == c, b ~ d, b == d)``; randomly relabelled."""
+    ge, he = ({*f.edges, *((j, i) for i, j in f.edges)} for f in (g, h))
+    pairs = [(a, b) for a in range(g.n) for b in range(h.n)]
+    edges = [(k, l) for k, (a, b) in enumerate(pairs) for l, (c, d) in enumerate(pairs[k + 1:], k + 1)
+             if adjacent((a, c) in ge, a == c, (b, d) in he, b == d)]
+    return _relabelled(rng, [g.weight_tuple[a] * h.weight_tuple[b] for a, b in pairs], edges)
+
+
+def strong_product(g: ExclusivityGraph, h: ExclusivityGraph, rng) -> ExclusivityGraph:
+    """g x h, the strong product: distinct pairs that are equal or joined in
+    each factor are joined.  Weighted theta multiplies."""
+    return _product(g, h, rng, lambda ga, geq, hb, heq: (ga or geq) and (hb or heq))
+
+
+def or_product(g: ExclusivityGraph, h: ExclusivityGraph, rng) -> ExclusivityGraph:
+    """g * h, the OR (disjunctive) product: pairs joined in either factor are
+    joined, the exclusivity graph of two independent experiments.  Weighted
+    theta multiplies."""
+    return _product(g, h, rng, lambda ga, geq, hb, heq: ga or hb)
+
+
 def random_unitary(rng, d: int, complex_field=True) -> np.ndarray:
     """Haar-ish random unitary (or orthogonal) via sign-fixed QR."""
     z = rng.standard_normal((d, d))
