@@ -301,7 +301,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # best effort: an input error stays exit 2 when stderr cannot be written
+        with contextlib.suppress(OSError):
+            print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -51,16 +51,28 @@ Every ``CHECK_EVERY`` iterations the solver certifies a bracket
 lower <= theta <= upper from the point just evaluated, or from the last
 accepted point when the safeguard rejects the one just evaluated:
 
-- lower = (W . X + p sum(w)) / (1 + n p), with X the affine projection of
-  the PSD iterate and p its PSD residual (the magnitude of its most
-  negative eigenvalue).  (X + p I) / (1 + n p) is feasible and PSD, and
-  that is its objective.
+- lower = W . X for a feasible PSD X, taken as the better of two:
+  - (W . X + p sum(w)) / (1 + n p), with X the affine projection of the
+    PSD iterate and p its PSD residual (the magnitude of its most negative
+    eigenvalue).  (X + p I) / (1 + n p) is feasible and PSD, and that is
+    its objective.  It loses up to n p sum(w) against W . X.
+  - W . X_c, the certificate below, which has no n p term.
 - upper = lambda_max(M), where M = W off the edges and M_ij = M_ji =
   2 rho u_ij on them, u = t - z.  Any Y supported on the edges gives
   theta <= lambda_max(W + Y), the Lovász dual.
 
 Both bounds hold at any point, so acceleration changes which points are
 visited, never what a bracket certifies.
+
+The certificate X_c starts from the PSD iterate z = B B^T, with the factor
+B = V sqrt(lambda) that ``psd_part`` forms, re-formed for the point the
+check reads.  One Gauss-Newton step B -> (I + Y) B,
+with Y supported on the edges and (Y z + z Y)_ij = -z_ij on every edge (an
+m x m symmetric system in the edge multipliers), cancels the edge entries
+to first order.  PSD 2 x 2 blocks [[|e|, -e], [-e, |e|]] zero the entries
+e that the step leaves, and the sum is divided by its trace.  X_c is then
+exactly 0 on the edges, has trace 1 up to one rounding, and is a sum of
+PSD terms.
 
 The solve has converged when the primal residual and the PSD residual are
 at most tol and the relative gap (upper - lower) / upper is at most tol.
@@ -70,20 +82,31 @@ criterion it misses:
 1. the primal residual of the PSD iterate (a trace and a max over the
    edge entries);
 2. the affine projection X, its PSD residual p (one eigvalsh) and lower;
-3. upper (one eigvalsh of the dual matrix), then the relative gap.
+3. upper (one eigvalsh of the dual matrix), then the relative gap;
+4. when only the gap misses and upper - W . X <= tol upper, so that a
+   lossless lower end would close it, the certificate, then the gap again.
 
-So most checks early in a solve cost no eigenvalue problem.  The forced
-check at the iteration cap runs every stage, so a capped report is
-complete.
+So most checks early in a solve cost no eigenvalue problem, and most
+solves never reach stage 4.  The forced check at the iteration cap runs
+stages 1-3, and stage 4 when its gate and back-off allow, so a capped
+report is complete.  An attempt that leaves the gap open backs off: the gated
+checks after it skip 1, 2, 4, ... attempts, so a solve that stalls near
+the gate makes a logarithmic number of them.  The certificate's system is
+formed and solved directly up to ``CERT_DENSE_EDGES`` edges (a 2,000 x
+2,000 solve); above that it is never formed, and conjugate gradients run
+on the operator matrix-free, ``CERT_CG_ITERS`` products at most.
 
 Each end is widened by n eps sum(w) to cover the roundoff in computing
 it, so lower <= upper holds in floating point too.  upper is the best
 over the checks that reached stage 3; lower is the bound the reported X
 certifies, so a small gap means that X is near optimal.  Reported values
-are those of the last check, which ran every stage, evaluated at its
-feasibility-projected PSD iterate, so a returned solution is
-affine-feasible up to roundoff and PSD up to the reported residual p; its
-value is not a bound and may exceed theta by up to n p sum(w).
+are those of the last check, which ran every stage its criteria allowed.
+The reported X is X_c when the certificate gave the lower end, exactly
+feasible and PSD up to roundoff, and otherwise the feasibility-projected
+PSD iterate, affine-feasible up to roundoff and PSD up to the reported
+residual p, whose value is not a bound and may exceed theta by up to
+n p sum(w).  Either way value is W . X at the reported X, and lower comes
+with it.
 """
 
 from __future__ import annotations
@@ -108,6 +131,9 @@ CHECK_EVERY = 25  # iterations between bracket checks
 BALANCE_EVERY = 100  # iterations between residual-balancing steps
 ANDERSON_MEMORY = 12  # point and step differences kept for acceleration
 ANDERSON_REG = 1e-10  # Tikhonov term, relative to the normal matrix's trace
+CERT_DENSE_EDGES = 2_000  # edges up to which the certificate's system is formed
+CERT_CG_RTOL = 1e-3  # above that, CG stops once its residual has fallen by this
+CERT_CG_ITERS = 200  # or after this many products
 
 
 def _unmet(primal: float, psd: float, lower: float, upper: float, tol: float) -> dict[str, float]:
@@ -124,11 +150,16 @@ def _unmet(primal: float, psd: float, lower: float, upper: float, tol: float) ->
 class ThetaSolution:
     """SDP result with a feasibility certificate and a bracket on theta.
 
-    X is affine-feasible (trace 1, zero on edges) up to roundoff at the scale
-    of X; primal_residual bounds the affine violation of the PSD-side iterate
-    it was projected from, psd_residual the magnitude of X's most negative
-    eigenvalue.  lower <= theta <= upper is a certified bracket: lower is
-    the bound X itself certifies, upper the best dual bound found.
+    lower <= theta <= upper is a certified bracket: lower is the bound X
+    itself certifies, upper the best dual bound found.  All other fields
+    come from the last check.  X is the certificate point when it gave the
+    lower end (exactly 0 on edges, trace 1 up to roundoff, PSD up to
+    roundoff), and otherwise the affine projection of the PSD iterate
+    (affine-feasible up to roundoff at the scale of X, PSD up to
+    psd_residual).  value is W . X at that X.  primal_residual and
+    psd_residual always describe the iterate: primal_residual the affine
+    violation of the PSD iterate, psd_residual the magnitude of the most
+    negative eigenvalue of its affine projection.
     """
 
     X: np.ndarray
@@ -165,10 +196,16 @@ def psd_part(m: np.ndarray) -> np.ndarray:
     BLAS syrk, which computes one triangle and mirrors it, so the result is
     bitwise symmetric without a symmetrizing pass.
     """
+    b = _psd_factor(m)
+    return b @ b.T
+
+
+def _psd_factor(m: np.ndarray) -> np.ndarray:
+    """B = V sqrt(lambda) over the positive eigenpairs of ``m``: its positive
+    part is B B^T."""
     values, vectors = np.linalg.eigh(m)
     first = int(np.searchsorted(values, 0.0, side="right"))
-    b = vectors[:, first:] * np.sqrt(values[first:])
-    return b @ b.T
+    return vectors[:, first:] * np.sqrt(values[first:])
 
 
 def _flat_edges(g: ExclusivityGraph) -> np.ndarray:
@@ -190,6 +227,88 @@ def _affine_part(a: np.ndarray, edges: np.ndarray) -> np.ndarray:
     d = flat[:: a.shape[0] + 1]
     d += (1.0 - float(d.sum())) / d.size
     return a
+
+
+def _on_edges(y: np.ndarray, ei: np.ndarray, ej: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric n x n matrix with y_e at (i, j) and (j, i) for every
+    edge e = (i, j), zero elsewhere."""
+    out = np.zeros((n, n))
+    out[ei, ej] = y
+    out[ej, ei] = y
+    return out
+
+
+def _edge_multipliers(b: np.ndarray, ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
+    """The y, one entry per edge, with (Y z + z Y)_ij = -z_ij on every edge,
+    for Y = ``_on_edges(y)`` and z = B B^T.
+
+    The system is m x m and symmetric positive semidefinite: y^T A y is
+    trace(Y z Y).  Up to ``CERT_DENSE_EDGES`` edges it is formed and solved
+    directly.  Above that it is never formed: conjugate gradients run on
+    y -> (Y z + z Y) on the edges, at O(n^2 rank(B)) a product, until the
+    residual has fallen by ``CERT_CG_RTOL`` or for ``CERT_CG_ITERS`` steps.
+    """
+    n, m = len(b), len(ei)
+    rhs = -np.einsum("ij,ij->i", b[ei], b[ej])
+    if m <= CERT_DENSE_EDGES:
+        # entry (e, f) sums, over the vertices v that edges e and f share,
+        # z[other end of e, other end of f]
+        z = b @ b.T
+        a = np.zeros((m, m))
+        ends = np.concatenate((ei, ej))
+        others = np.concatenate((ej, ei))
+        ids = np.concatenate((np.arange(m), np.arange(m)))
+        order = np.argsort(ends, kind="stable")
+        bounds = np.searchsorted(ends[order], np.arange(n + 1))
+        for v in range(n):
+            at_v = order[bounds[v]:bounds[v + 1]]
+            a[np.ix_(ids[at_v], ids[at_v])] += z[np.ix_(others[at_v], others[at_v])]
+        try:
+            return np.linalg.solve(a, rhs)
+        except np.linalg.LinAlgError:  # exactly singular: no step
+            return np.zeros(m)
+    y = np.zeros(m)
+    r = rhs
+    p = r.copy()
+    rr = float(r @ r)
+    stop = CERT_CG_RTOL**2 * rr
+    for _ in range(CERT_CG_ITERS):
+        if rr <= stop:
+            break
+        yz = (_on_edges(p, ei, ej, n) @ b) @ b.T
+        ap = yz[ei, ej] + yz[ej, ei]
+        curvature = float(p @ ap)
+        if not curvature > 0.0:
+            break
+        step = rr / curvature
+        y += step * p
+        r = r - step * ap
+        rr, rr_prev = float(r @ r), rr
+        p = r + (rr / rr_prev) * p
+    return y
+
+
+def _certificate(b: np.ndarray, ei: np.ndarray, ej: np.ndarray) -> np.ndarray | None:
+    """A trace-1 PSD point that is exactly 0 on every edge, near z = B B^T,
+    or None when the step overflows.
+
+    One Gauss-Newton step B -> (I + Y) B, with Y supported on the edges and
+    (Y z + z Y)_ij = -z_ij on every edge, cancels the edge entries of z to
+    first order.  Each edge entry e that the step leaves is zeroed by adding
+    the PSD block [[|e|, -e], [-e, |e|]] on rows and columns i and j, and
+    the sum is divided by its trace.  Every term is PSD, so the result is,
+    up to the roundoff of one product and one division.
+    """
+    n = len(b)
+    with np.errstate(all="ignore"):
+        step = b + _on_edges(_edge_multipliers(b, ei, ej), ei, ej, n) @ b
+        x = step @ step.T
+        left = np.abs(x[ei, ej])
+        x[ei, ej] = 0.0
+        x[ej, ei] = 0.0
+        x.flat[:: n + 1] += np.bincount(ei, left, n) + np.bincount(ej, left, n)
+        x /= float(x.trace())
+    return x if np.isfinite(x).all() else None
 
 
 def lovasz_theta(
@@ -214,6 +333,9 @@ def lovasz_theta(
     scale = g.weight_sum
     w_obj = weight_objective(g) / scale  # unit trace
     edges = _flat_edges(g)
+    ei, ej = g.edge_arrays()
+    # stage 4's back-off: gated checks left to skip, and the skip after a miss
+    cert_wait, cert_backoff = 0, 1
     rho = 1.0
     linear = w_obj / (2.0 * rho)
     t = np.eye(n) / n  # x = I/n, u = 0
@@ -284,7 +406,22 @@ def lovasz_theta(
                 if psd_resid <= tol or last:
                     dual.flat[edges] = 2.0 * rho * (at.flat[edges] - az.flat[edges])
                     upper = min(upper, scale * float(np.linalg.eigvalsh(dual)[-1]) + roundoff)
-                    if not _unmet(primal, psd_resid, lower, upper, tol):
+                    missed = _unmet(primal, psd_resid, lower, upper, tol)
+                    # stage 4, when a lossless lower end would close the gap
+                    if missed.keys() == {"relative gap"} and upper - value <= tol * upper:
+                        if cert_wait:
+                            cert_wait -= 1
+                        else:
+                            x_cert = _certificate(_psd_factor(at), ei, ej)
+                            if x_cert is not None:
+                                value_cert = scale * float(np.sum(w_obj * x_cert))
+                                if value_cert - roundoff > lower:
+                                    x_report, value = x_cert, value_cert
+                                    lower = value - roundoff
+                                    missed = _unmet(primal, psd_resid, lower, upper, tol)
+                            if missed:
+                                cert_wait, cert_backoff = cert_backoff, 2 * cert_backoff
+                    if not missed:
                         converged = True
                         break
 

@@ -205,15 +205,46 @@ def test_extract_is_scale_free(factor, tmp_path, monkeypatch, capsys):
 
 
 def test_extract_refuses_its_own_output_when_it_fails_verify(tmp_path, monkeypatch, capsys):
-    # G(40, .3) converges at tol 1e-6, but the representation extracted
-    # from its X has edge residual 3.3e-6, so it must not be emitted
-    path = tmp_path / "g40.json"
-    path.write_text(serialize_graph(gnp(np.random.default_rng(0), 40, 0.3)))
+    # G(45, .3) converges at tol 1e-6, but the representation extracted
+    # from its X has edge residual 2.3e-3, so it must not be emitted
+    path = tmp_path / "g45.json"
+    path.write_text(serialize_graph(gnp(np.random.default_rng(45), 45, 0.3)))
     code, out, err = run_cli(["extract", str(path), "--tol", "1e-6"],
                              capsys=capsys, monkeypatch=monkeypatch)
     assert code == 1
     assert out == ""
     assert "fails verification" in err and "edge residual" in err
+
+
+# G(n, .3) drawn from default_rng(n), and the G(40, .3) from default_rng(0):
+# their solves stop on the certificate point, exactly 0 on every edge, so
+# the rank cut is all that stands between X and a representation
+EXTRACTED = [("g40", 1e-8), ("g40", 1e-6), (30, 1e-8), (30, 1e-6), (40, 1e-8), (40, 1e-6),
+             (50, 1e-8), (100, 1e-8), (100, 1e-6)]
+
+
+@pytest.mark.parametrize("seed, tol", EXTRACTED, ids=[f"{s}-{t:g}" for s, t in EXTRACTED])
+def test_extract_emits_a_rep_that_verifies_inside_the_bracket(seed, tol, tmp_path, monkeypatch,
+                                                              capsys):
+    g = gnp(np.random.default_rng(0), 40, 0.3) if seed == "g40" else gnp(
+        np.random.default_rng(seed), seed, 0.3)
+    path = tmp_path / "g.json"
+    path.write_text(serialize_graph(g))
+    sols, solve = [], theta.lovasz_theta
+
+    def spy(*args, **kwargs):
+        sols.append(solve(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(theta, "lovasz_theta", spy)
+    code, rep_doc, err = run_cli(["extract", str(path), "--tol", repr(tol)], capsys=capsys,
+                                 monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    code, out, _ = run_cli(["verify", "--graph", str(path), "--tol", repr(tol)],
+                           stdin_text=rep_doc, capsys=capsys, monkeypatch=monkeypatch)
+    assert code == 0 and json.loads(out)["passed"]
+    (sol,) = sols
+    assert sol.lower <= json.loads(out)["value"] <= sol.upper
 
 
 def test_extract_reports_an_unfactorable_optimum_as_a_failure(tmp_path, monkeypatch, capsys):
@@ -609,11 +640,11 @@ def test_python_dash_m_matches_main(monkeypatch, capsys):
 ENTRIES = {"run": ["-c", "from loorkit.cli import run; run()"], "dash-m": ["-m", "loorkit"]}
 
 
-def _spawn(entry, args, stdout=subprocess.PIPE, env=None):
+def _spawn(entry, args, stdout=subprocess.PIPE, env=None, stderr=subprocess.PIPE):
     """(exit code, stdout bytes, stderr text) of one CLI call in a fresh process."""
     proc = subprocess.run([sys.executable, *ENTRIES[entry], *args], stdout=stdout,
-                          stderr=subprocess.PIPE, env=env or src_env(), timeout=60)
-    return proc.returncode, proc.stdout, proc.stderr.decode()
+                          stderr=stderr, env=env or src_env(), timeout=60)
+    return proc.returncode, proc.stdout, None if proc.stderr is None else proc.stderr.decode()
 
 
 def _contract_args(tmp, pentagon_file):
@@ -671,6 +702,27 @@ def test_stdout_that_cannot_be_written_exits_2(entry, unbuffered):
         with open("/dev/full", "wb") as full:
             result = _spawn(entry, ["instance", "kcbs"], stdout=full, env=env)
         assert result == (2, None, "error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_an_input_error_exits_2_when_stderr_cannot_be_written(entry, unbuffered):
+    # the "error: ..." line is best effort: its failing write must not turn
+    # exit 2 into a traceback's 1 or a failed teardown flush's 120
+    env = {k: v for k, v in src_env().items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    args = ["alpha", "/definitely/not/here.json"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = _spawn(entry, args, stderr=write_end, env=env)
+    finally:
+        os.close(write_end)
+    assert result == (2, b"", None)
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "wb") as full:
+            assert _spawn(entry, args, stderr=full, env=env) == (2, b"", None)
 
 
 class _Stream(io.StringIO):

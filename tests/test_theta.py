@@ -359,6 +359,80 @@ def test_iteration_counts_are_pinned(name, g):
     assert sol.iterations == PINNED_ITERATIONS[name]
 
 
+def _solve_with_certificates(g, monkeypatch, **kwargs):
+    """The solve, with every certificate point it formed, in order."""
+    made, certificate = [], theta._certificate
+
+    def spy(*args):
+        made.append(certificate(*args))
+        return made[-1]
+
+    monkeypatch.setattr(theta, "_certificate", spy)
+    return lovasz_theta(g, **kwargs), made
+
+
+# solves whose lower end comes from the certificate: the G(40, .3) of the
+# extract tests at two tols, and two tail seeds that the n p loss of the
+# shifted lower end kept from converging within 20k iterations; tail seed
+# 240 has theta = alpha = 18
+CERTIFIED = {
+    "g40-1e-8": (lambda: gnp(np.random.default_rng(0), 40, 0.3), 1e-8, 550, None),
+    "g40-1e-6": (lambda: gnp(np.random.default_rng(0), 40, 0.3), 1e-6, 325, None),
+    "tail238": (lambda: tail_graph(238), 1e-8, 8_850, None),
+    "tail240": (lambda: tail_graph(240), 1e-8, 15_625, 18.0),
+}
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_a_certified_lower_end_comes_with_its_exactly_feasible_matrix(name, monkeypatch):
+    make, tol, iterations, alpha = CERTIFIED[name]
+    g = make()
+    sol, made = _solve_with_certificates(g, monkeypatch, tol=tol, max_iters=20_000)
+    assert_certified(sol, tol)
+    assert sol.iterations == iterations
+    assert sol.X is made[-1]
+    n, eps = g.n, np.finfo(float).eps
+    assert all(sol.X[i, j] == 0.0 and sol.X[j, i] == 0.0 for i, j in g.edges)
+    assert np.array_equal(sol.X, sol.X.T)
+    assert abs(float(np.trace(sol.X)) - 1.0) <= n * eps
+    assert np.linalg.eigvalsh(sol.X)[0] >= -n * eps
+    # lower is W . X at that X, less the roundoff allowance n eps sum(w)
+    scale = g.weight_sum
+    value = scale * float(np.sum(weight_objective(g) / scale * sol.X))
+    assert sol.value == value
+    assert sol.lower == value - n * eps * scale
+    if alpha is not None:
+        assert independence_number(g)[0] == alpha
+        assert sol.lower <= alpha <= sol.upper
+
+
+def test_a_certificate_that_misses_backs_off(monkeypatch):
+    # tail seed 253 stays capped at 20,000.  From iteration 9,950 every check
+    # is gated and every attempt leaves the gap open, so the checks skipped
+    # after each attempt double (1, 2, 4, ...): the 43 gated checks up to
+    # iteration 11,000 make 6 attempts, at 9,950, 10,000, 10,075, 10,200,
+    # 10,425 and 10,850
+    sol, made = _solve_with_certificates(tail_graph(253), monkeypatch, tol=1e-8,
+                                         max_iters=11_000)
+    assert not sol.converged
+    assert len(made) == 6
+
+
+def test_the_edge_system_is_solved_matrix_free_above_the_dense_size(monkeypatch):
+    # above CERT_DENSE_EDGES the m x m system is never formed or solved; CG
+    # gives the dense solve's certificate to the tolerance it stops at
+    g = gnp(np.random.default_rng(0), 40, 0.3)
+    ei, ej = g.edge_arrays()
+    b = theta._psd_factor(lovasz_theta(g, tol=1e-6).X)
+    dense = theta._certificate(b, ei, ej)
+    monkeypatch.setattr(theta, "CERT_DENSE_EDGES", len(ei) - 1)
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: pytest.fail("solved the formed system"))
+    cg = theta._certificate(b, ei, ej)
+    w = weight_objective(g)
+    assert abs(np.sum(w * cg) - np.sum(w * dense)) <= 1e-6 * np.sum(w * dense)
+    assert all(cg[i, j] == 0.0 for i, j in g.edges)
+
+
 def test_a_check_that_misses_the_primal_residual_solves_no_eigenproblem(monkeypatch):
     # weighted_gnp20 misses tol on the primal residual at its checks at
     # iterations 25 and 50.  A check runs its eigenproblems (the PSD
