@@ -1,10 +1,10 @@
 """Exclusivity graphs: the data model, its JSON wire format, and the input
-rules that every module shares.  Those rules are the number tests, the
-weight, edge and tol checks, the document loader and the tol of every call
-not given one (``DEFAULT_TOL``).  Each check runs at the tol of the
-function that makes it.  Nothing here takes vectors or searches: vector
-measures and their number check are in ``loor``, the independence number
-in ``alpha``.
+rules that every module shares.  Those rules are the number check of every
+weight, vector and matrix entry, the edge and tol checks, the document
+loader and the tol of every call not given one (``DEFAULT_TOL``).  Each
+check runs at the tol of the function that makes it.  Nothing here
+measures vectors or searches: vector measures are in ``loor``, the
+independence number in ``alpha``.
 
 A graph is combinatorics, so this module never imports numpy: it stores
 Python ints and floats, recognizes numpy scalars and arrays only once some
@@ -76,6 +76,42 @@ def _float_types(types) -> bool:
     return all(issubclass(t, reals) for t in types)
 
 
+def _walk(x, name: str, depth: int, need, index: tuple[int, ...] = ()) -> None:
+    """Raise naming the first entry ``depth`` lists deep in ``x`` that fails
+    ``need``, a pair (what, test), as "<where> must be <what>, got ...", or
+    the first entry above them that is not a list (or a tuple or an array,
+    which library calls may give)."""
+    where = name + "".join(f"[{k}]" for k in index) if index else f"'{name}'"
+    if depth == 0:
+        what, test = need
+        if not test(x):
+            raise ValueError(f"{where} must be {what}, got {x!r}")
+    elif not isinstance(x, (list, tuple, *_numpy_types("ndarray"))):
+        raise ValueError(f"{where} must be a list, got {x!r}")
+    else:
+        for k, s in enumerate(x):
+            _walk(s, name, depth - 1, need, index + (k,))
+
+
+def _check_numbers(x, shape: tuple[int, ...], name: str, complex_ok: bool = False) -> None:
+    """The one check of input numbers: refuse the first entry of ``x``, nested
+    lists, tuples or arrays of ``shape``, that is not a real number (or a
+    complex one, when ``complex_ok``).  numpy would read True and "1.0" as
+    1.0, so the entries are checked before any conversion.  An ndarray of a
+    numeric kind passes at once, other input on the set of its entries'
+    types; the entries are walked only to name the first bad one."""
+    if isinstance(x, _numpy_types("ndarray")) and x.dtype.kind in ("iufc" if complex_ok else "iuf"):
+        return
+    extra = (complex, *_numpy_types("complexfloating")) if complex_ok else ()
+    entries = x
+    for _ in shape[1:]:
+        entries = chain.from_iterable(entries)
+    if _float_types(t for t in set(map(type, entries)) if not issubclass(t, extra)):
+        return
+    number = "a number" if complex_ok else "a real number"
+    _walk(x, name, len(shape), (number, lambda s: _is_number(s) or isinstance(s, extra)))
+
+
 def _check_tol(name: str, value) -> None:
     """Refuse a tolerance that is not a positive, finite real number (a bool is not one)."""
     if not (_is_number(value) and value > 0 and math.isfinite(value)):
@@ -93,10 +129,7 @@ def _checked_weights(w, n: int) -> tuple[float, ...]:
         sized = isinstance(w, (list, tuple)) or (isinstance(w, array) and w.ndim > 0)
         if not sized or len(w) != n:  # a 0-d array has no len()
             raise ValueError(f"'weights' must be a list of {n} numbers")
-        if not _float_types(set(map(type, w))):
-            for k, x in enumerate(w):
-                if not _is_number(x):
-                    raise ValueError(f"weights[{k}] must be a real number, got {x!r}")
+        _check_numbers(w, (n,), "weights")
         values = list(map(float, w))
     for k, x in enumerate(values):
         if not (x > 0.0 and math.isfinite(x)):

@@ -19,12 +19,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .graph import (DEFAULT_TOL, ExclusivityGraph, _check_tol, _float_types, _is_int, _is_number,
-                    _load_document)
+from .graph import (DEFAULT_TOL, ExclusivityGraph, _check_numbers, _check_tol, _is_int, _is_number,
+                    _load_document, _walk)
 
 __all__ = [
     "OrthRep",
@@ -54,9 +53,8 @@ def _field_dtype(field) -> type:
     return complex if field == "complex" else float
 
 
-def _norm_deviation(v) -> np.ndarray:
+def _norm_deviation(a: np.ndarray) -> np.ndarray:
     """|norm - 1| of a vector, or of each row of an (n, d) array; inf on overflow."""
-    a = np.asarray(v)
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(a) if a.ndim == 1 else np.linalg.norm(a, axis=1)
     return np.abs(norms - 1.0)
@@ -65,42 +63,6 @@ def _norm_deviation(v) -> np.ndarray:
 def _max_norm_deviation(handle: np.ndarray, vectors: np.ndarray) -> float:
     """Worst |norm - 1| over the handle and the vector rows."""
     return float(np.max(np.concatenate(([_norm_deviation(handle)], _norm_deviation(vectors)))))
-
-
-def _walk(x, name: str, depth: int, need, index: tuple[int, ...] = ()) -> None:
-    """Raise naming the first entry ``depth`` lists deep in ``x`` that fails
-    ``need``, a pair (what, test), as "<where> must be <what>, got ...", or
-    the first entry above them that is not a list (or a tuple or an array,
-    which library calls may give)."""
-    where = name + "".join(f"[{k}]" for k in index) if index else f"'{name}'"
-    if depth == 0:
-        what, test = need
-        if not test(x):
-            raise ValueError(f"{where} must be {what}, got {x!r}")
-    elif not isinstance(x, (list, tuple, np.ndarray)):
-        raise ValueError(f"{where} must be a list, got {x!r}")
-    else:
-        for k, s in enumerate(x):
-            _walk(s, name, depth - 1, need, index + (k,))
-
-
-def _check_numbers(x, shape: tuple[int, ...], name: str, complex_ok: bool = False) -> None:
-    """The check of the numbers in vectors and matrices: refuse the first
-    entry of ``x``, nested lists, tuples or arrays of ``shape``, that is not
-    a real number (or a complex one, when ``complex_ok``).  numpy would read True and "1.0" as
-    1.0, so the entries are checked before any conversion.  An ndarray of a
-    numeric kind passes at once, other input on the set of its entries'
-    types; the entries are walked only to name the first bad one."""
-    if isinstance(x, np.ndarray) and x.dtype.kind in ("iufc" if complex_ok else "iuf"):
-        return
-    extra = (complex, np.complexfloating) if complex_ok else ()
-    entries = x
-    for _ in shape[1:]:
-        entries = chain.from_iterable(entries)
-    if _float_types(t for t in set(map(type, entries)) if not issubclass(t, extra)):
-        return
-    number = "a number" if complex_ok else "a real number"
-    _walk(x, name, len(shape), (number, lambda s: _is_number(s) or isinstance(s, extra)))
 
 
 def _rectangular(x, name: str, shape: str) -> np.ndarray:
@@ -259,7 +221,7 @@ def orthogonality_graph(vectors, weights=None, tol: float = DEFAULT_TOL) -> Excl
     edge.  Inner products are invariant under a common unitary, so the
     derived graph is too.
     """
-    v = np.asarray(vectors)
+    v = _rectangular(vectors, "vectors", "shape (n, d)")
     if v.ndim != 2:
         raise ValueError(f"vectors must form an (n, d) array, got shape {v.shape}")
     v = _numeric(v, vectors, "vectors")
@@ -279,9 +241,10 @@ def orthogonality_graph(vectors, weights=None, tol: float = DEFAULT_TOL) -> Excl
 
 def max_edge_overlap(vectors, g: ExclusivityGraph) -> float:
     """Largest |<v_i|v_j>| over the accepted edges (0.0 if edgeless) of (g.n, d) vectors."""
-    v = np.asarray(vectors)
+    v = _rectangular(vectors, "vectors", f"shape ({g.n}, d)")
     if v.ndim != 2 or v.shape[0] != g.n:
         raise ValueError(f"vectors must have shape ({g.n}, d) for {g.n} vertices, got {v.shape}")
+    v = _numeric(v, vectors, "vectors")
     ei, ej = g.edge_arrays()
     return float(np.max(np.abs(np.einsum("ij,ij->i", v[ei].conj(), v[ej])), initial=0.0))
 
@@ -331,9 +294,14 @@ def verify_rep(
 def hermitize(m) -> np.ndarray:
     """Return (M + M^H)/2: bitwise (conjugate) symmetric, real diagonal.
 
-    Real input stays real (float64), complex input stays complex.
+    Real input stays real (float64), complex input stays complex.  Raises
+    ValueError on a matrix that is not square or holds an entry that is not
+    a number.
     """
-    a = np.asarray(m)
+    a = _rectangular(m, "matrix", "shape (n, n)")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    _check_numbers(m, a.shape, "matrix", complex_ok=True)
     a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     return (a + a.conj().T) / 2.0
 
@@ -347,7 +315,7 @@ def _numeric(a: np.ndarray, x, name: str) -> np.ndarray:
 
 def _checked_hermitian(m, tol: float) -> np.ndarray:
     """Hermitized copy of a square, nonempty matrix of finite numbers, Hermitian within tol."""
-    a = np.asarray(m)
+    a = _rectangular(m, "matrix", "shape (n, n)")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if a.shape[0] == 0:
@@ -402,8 +370,9 @@ def rep_from_gram(x, g: ExclusivityGraph, tol: float = DEFAULT_TOL) -> OrthRep:
     accepted; the default is the solver's, ``graph.DEFAULT_TOL``.
     """
     _check_tol("tol", tol)
-    if np.shape(x) != (g.n, g.n):
-        raise ValueError(f"expected a {g.n} x {g.n} matrix, got shape {np.shape(x)}")
+    shape = _rectangular(x, "matrix", f"shape ({g.n}, {g.n})").shape
+    if shape != (g.n, g.n):
+        raise ValueError(f"expected a {g.n} x {g.n} matrix, got shape {shape}")
     a = _checked_hermitian(x, tol).real
     tr_dev = abs(float(np.trace(a)) - 1.0)
     ei, ej = g.edge_arrays()

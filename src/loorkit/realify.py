@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import DEFAULT_TOL, ExclusivityGraph
-from .loor import OrthRep, _check_aligned, _checked_hermitian
+from .loor import OrthRep, _check_aligned, _checked_hermitian, _numeric, _rectangular
 
 __all__ = [
     "block_embed",
@@ -58,9 +58,10 @@ def realify_map_M(v) -> np.ndarray:
     block_embed(P) @ realify_map_M(x) == realify_map_M(P @ x).  An (n, d)
     array maps row by row to an (n, 2d) array.
     """
-    a = np.asarray(v, dtype=complex)
+    a = _rectangular(v, "v", "shape (d,) or (n, d)")
     if a.ndim not in (1, 2):
         raise ValueError(f"expected a vector or an (n, d) array, got shape {a.shape}")
+    a = np.asarray(_numeric(a, v, "v"), dtype=complex)
     return np.concatenate([a.real, a.imag], axis=-1)
 
 

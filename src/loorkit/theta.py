@@ -14,8 +14,8 @@ The solver is a first-order operator splitting (ADMM / boundary-point
 style), written as a fixed-point map on t = x + u (u the scaled dual).
 One evaluation is one PSD projection and one closed-form affine projection:
 
-    z = psd_part(t),   x = affine projection of 2z - t + W/(2 rho),
-    T(t) = t + x - z.
+    z = B B^T with B = _psd_factor(t),
+    x = affine projection of 2z - t + W/(2 rho),   T(t) = t + x - z.
 
 A fixed point has x = z, an optimum.  Iterating T alone is the plain
 splitting; the loop accelerates it with type-II Anderson acceleration
@@ -65,14 +65,13 @@ Both bounds hold at any point, so acceleration changes which points are
 visited, never what a bracket certifies.
 
 The certificate X_c starts from the PSD iterate z = B B^T, with the factor
-B = V sqrt(lambda) that ``psd_part`` forms, re-formed for the point the
-check reads.  One Gauss-Newton step B -> (I + Y) B,
-with Y supported on the edges and (Y z + z Y)_ij = -z_ij on every edge (an
-m x m symmetric system in the edge multipliers), cancels the edge entries
-to first order.  PSD 2 x 2 blocks [[|e|, -e], [-e, |e|]] zero the entries
-e that the step leaves, and the sum is divided by its trace.  X_c is then
-exactly 0 on the edges, has trace 1 up to one rounding, and is a sum of
-PSD terms.
+B = V sqrt(lambda) that the loop formed z from at the point the check
+reads.  One Gauss-Newton step B -> (I + Y) B, with Y supported on the
+edges and (Y z + z Y)_ij = -z_ij on every edge (an m x m symmetric system
+in the edge multipliers), cancels the edge entries to first order.  PSD
+2 x 2 blocks [[|e|, -e], [-e, |e|]] zero the entries e that the step
+leaves, and the sum is divided by its trace.  X_c is then exactly 0 on
+the edges, has trace 1 up to one rounding, and is a sum of PSD terms.
 
 The solve has converged when the primal residual and the PSD residual are
 at most tol and the relative gap (upper - lower) / upper is at most tol.
@@ -183,26 +182,12 @@ def weight_objective(g: ExclusivityGraph) -> np.ndarray:
     return np.outer(root, root)
 
 
-def psd_part(m: np.ndarray) -> np.ndarray:
-    """Positive part of a real symmetric matrix, without input checks: the
-    nearest positive-semidefinite matrix in Frobenius norm.
-
-    Keeps the eigenpairs with positive eigenvalue and recomposes; eigh reads
-    one triangle only and sorts the eigenvalues ascending, so the positive
-    ones are a suffix.  This is the solver's inner kernel.
-
-    The matrix is recomposed as B B^T with B = V sqrt(lambda) over the kept
-    pairs.  numpy hands a product of an array with its own transpose to
-    BLAS syrk, which computes one triangle and mirrors it, so the result is
-    bitwise symmetric without a symmetrizing pass.
-    """
-    b = _psd_factor(m)
-    return b @ b.T
-
-
 def _psd_factor(m: np.ndarray) -> np.ndarray:
-    """B = V sqrt(lambda) over the positive eigenpairs of ``m``: its positive
-    part is B B^T."""
+    """B = V sqrt(lambda) over the positive eigenpairs of a real symmetric
+    ``m``, without input checks: B B^T is the positive part of ``m``, the
+    nearest positive-semidefinite matrix in Frobenius norm.  eigh reads one
+    triangle only and sorts the eigenvalues ascending, so the positive ones
+    are a suffix.  This is the solver's inner kernel."""
     values, vectors = np.linalg.eigh(m)
     first = int(np.searchsorted(values, 0.0, side="right"))
     return vectors[:, first:] * np.sqrt(values[first:])
@@ -346,13 +331,13 @@ def lovasz_theta(
     # in the units of the weights
     roundoff = n * sys.float_info.epsilon * scale
 
-    # Anderson state: the last accepted point with its PSD part, its image
-    # g = T(t) = t + f, its step f (flat) and the step's norm; ring buffers
-    # of the differences of accepted images and of accepted steps (row
-    # ``slot`` is written next, the first ``count`` rows are filled), and
-    # the Gram matrix of the step differences, one row and column updated
-    # per append
-    anchor = anchor_z = anchor_image = step = None
+    # Anderson state: the last accepted point with its PSD part and that
+    # part's factor, its image g = T(t) = t + f, its step f (flat) and the
+    # step's norm; ring buffers of the differences of accepted images and
+    # of accepted steps (row ``slot`` is written next, the first ``count``
+    # rows are filled), and the Gram matrix of the step differences, one
+    # row and column updated per append
+    anchor = anchor_z = anchor_b = anchor_image = step = None
     step_norm = np.inf
     dgs = np.empty((ANDERSON_MEMORY, n * n))
     dfs = np.empty((ANDERSON_MEMORY, n * n))
@@ -376,7 +361,11 @@ def lovasz_theta(
         # acceleration, W/rho with 2 rho u caps every solve at 10k iterations,
         # and W/rho with rho u takes 9,300 iterations in all against 8,300.
         z_prev = z
-        z = psd_part(t)
+        # numpy hands a product of an array with its own transpose to BLAS
+        # syrk, which computes one triangle and mirrors it, so z is bitwise
+        # symmetric without a symmetrizing pass
+        b = _psd_factor(t)
+        z = b @ b.T
         np.multiply(z, 2.0, out=affine)
         affine -= t
         affine += linear
@@ -391,11 +380,11 @@ def lovasz_theta(
         if iterations % CHECK_EVERY == 0 or last:
             # staged, cheapest first; a stage runs only if the criteria
             # before it are met, or at the forced last check
-            at, az = t, z
+            at, az, ab = t, z, b
             if rejected:
                 # a report must not come from a point the safeguard rejects:
                 # read the last accepted one
-                at, az = anchor, anchor_z
+                at, az, ab = anchor, anchor_z, anchor_b
             primal = max(abs(float(az.trace()) - 1.0),
                          float(np.max(np.abs(az.flat[edges]), initial=0.0)))
             if primal <= tol or last:
@@ -412,7 +401,7 @@ def lovasz_theta(
                         if cert_wait:
                             cert_wait -= 1
                         else:
-                            x_cert = _certificate(_psd_factor(at), ei, ej)
+                            x_cert = _certificate(ab, ei, ej)
                             if x_cert is not None:
                                 value_cert = scale * float(np.sum(w_obj * x_cert))
                                 if value_cert - roundoff > lower:
@@ -461,7 +450,7 @@ def lovasz_theta(
             gram[slot, :count] = row
             gram[:count, slot] = row
             slot = (slot + 1) % ANDERSON_MEMORY
-        anchor, anchor_z, anchor_image, step, step_norm = t, z, image, f_flat, f_norm
+        anchor, anchor_z, anchor_b, anchor_image, step, step_norm = t, z, b, image, f_flat, f_norm
         t = image
         extrapolated = False
         reg = ANDERSON_REG * float(gram[:count, :count].trace())  # 0 with no memory

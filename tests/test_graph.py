@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+import subprocess
 import sys
 
 import numpy as np
@@ -25,6 +27,7 @@ from util import (
     random_forest,
     random_graph,
     random_unitary,
+    src_env,
     tree_independence,
 )
 
@@ -129,6 +132,32 @@ def test_constructors_reject_bad_fields(make, fragment):
     # field-naming errors as documents read by the parsers
     with pytest.raises(ValueError, match=fragment):
         make()
+
+
+@pytest.mark.parametrize("bad", [True, "1.0", None, 2**1100, 1j],
+                         ids=["bool", "string", "none", "int-beyond-double", "complex"])
+def test_weights_and_real_reps_share_one_number_rule(bad):
+    # one check decides what a number is, for a graph's weights and for the
+    # entries of a real representation alike
+    cases = [(lambda: ExclusivityGraph(1, [bad], ()), "weights[0]"),
+             (lambda: OrthRep("real", 1, [bad], [[1.0]]), "handle[0]"),
+             (lambda: OrthRep("real", 1, [1.0], [[bad]]), "vectors[0][0]")]
+    for make, where in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(where)} must be a real number, "
+                                             f"got {re.escape(repr(bad))}$"):
+            make()
+
+
+def test_the_walk_that_names_a_weight_loads_no_numpy():
+    # the per-entry walk lives in the numpy-free graph layer
+    code = ("import sys\nfrom loorkit.graph import ExclusivityGraph\n"
+            "try:\n    ExclusivityGraph(2, [1.0, True], [])\n"
+            "except ValueError as exc:\n    print(exc)\n"
+            "print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["weights[1] must be a real number, got True", "False"]
 
 
 @pytest.mark.parametrize("weights", [np.array(None), np.array("a")], ids=["none", "string"])

@@ -14,8 +14,10 @@ from loorkit import (
     bbc21,
     certify_operator,
     gram_from_rep,
+    hermitize,
     kcbs,
     lovasz_theta,
+    max_edge_overlap,
     orthogonality_graph,
     parse_rep,
     rep_from_gram,
@@ -390,6 +392,35 @@ def test_rep_from_gram_feasibility_follows_tol(tol, accepted):
 def test_rep_from_gram_refusals_name_the_cause(x, kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):
         rep_from_gram(x, kcbs().graph, **kwargs)
+
+
+@pytest.mark.parametrize(("call", "message"), [
+    # numpy would read "1" as 1.0 and True as 1.0
+    (lambda: hermitize([["1", "0"], ["0", "1"]]), r"matrix\[0\]\[0\] must be a number, got '1'"),
+    (lambda: hermitize([[1.0], [0.0, 1.0]]), r"'matrix' must have shape \(n, n\), got ragged rows"),
+    (lambda: hermitize([1.0, 2.0]), r"matrix must be square, got shape \(2,\)"),
+    (lambda: max_edge_overlap(np.eye(5, dtype=bool), kcbs().graph),
+     r"vectors\[0\]\[0\] must be a number, got np.True_"),
+    (lambda: max_edge_overlap([["1", "0"]] * 5, kcbs().graph),
+     r"vectors\[0\]\[0\] must be a number, got '1'"),
+    (lambda: max_edge_overlap([[1.0], [1.0, 2.0]], kcbs().graph),
+     r"'vectors' must have shape \(5, d\), got ragged rows"),
+    (lambda: orthogonality_graph([[1.0, 0.0], [1.0]]),
+     r"'vectors' must have shape \(n, d\), got ragged rows"),
+    (lambda: rep_from_gram([[0.5, 0.0], [0.5]], ExclusivityGraph(2, [1.0, 1.0], ())),
+     r"'matrix' must have shape \(2, 2\), got ragged rows"),
+], ids=["hermitize-strings", "hermitize-ragged", "hermitize-vector", "overlap-bools",
+        "overlap-strings", "overlap-ragged", "orthograph-ragged", "gram-ragged"])
+def test_library_calls_name_the_entry_or_the_field(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_hermitize_keeps_ints_beyond_int64_real():
+    # numpy holds 10**20 as an object; the number check accepts it, and
+    # real input stays real
+    h = hermitize([[10**20, 1], [1, 2]])
+    assert h.dtype == np.float64 and h.tolist() == [[1e20, 1.0], [1.0, 2.0]]
 
 
 @pytest.mark.parametrize(("tol", "accepted"), [(None, False), (1e-6, True)],

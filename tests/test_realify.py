@@ -65,6 +65,11 @@ def test_block_embed_rejects_non_hermitian():
     assert block_embed([[10**19]]).tolist() == [[1e19, 0.0], [0.0, 1e19]]
 
 
+def test_block_embed_names_a_ragged_matrix():
+    with pytest.raises(ValueError, match=r"^'matrix' must have shape \(n, n\), got ragged rows$"):
+        block_embed([[1.0], [1.0, 2.0]])
+
+
 def test_block_embed_psd_equivalence_200_random():
     rng = np.random.default_rng(13)
     disagreements = 0
@@ -239,6 +244,20 @@ def test_realify_map_known_ray():
     v = np.array([0.0, 1.0, 0.5 + 0.5j * np.sqrt(3.0)], dtype=complex) / np.sqrt(2.0)
     expected = [0.0, 1 / np.sqrt(2), 1 / (2 * np.sqrt(2)), 0.0, 0.0, np.sqrt(3) / (2 * np.sqrt(2))]
     assert_allclose(realify_map_M(v), expected, atol=1e-15)
+
+
+def test_realify_map_refuses_entries_that_are_not_numbers():
+    # numpy would read "1" as 1.0 and True as 1.0
+    with pytest.raises(ValueError, match=r"^v\[0\] must be a number, got '1'$"):
+        realify_map_M(["1", "2j"])
+    with pytest.raises(ValueError, match=r"^v\[0\] must be a number, got True$"):
+        realify_map_M([True, False])
+    with pytest.raises(ValueError, match=r"^v\[1\]\[0\] must be a number, got None$"):
+        realify_map_M([[1.0], [None]])
+    with pytest.raises(ValueError, match=r"^'v' must have shape \(d,\) or \(n, d\), got ragged rows$"):
+        realify_map_M([[1.0], [1.0, 2.0]])
+    # an int beyond int64, which numpy holds as an object, is a number
+    assert realify_map_M([10**19, 1j]).tolist() == [1e19, 0.0, 0.0, 1.0]
 
 
 def test_realify_map_refuses_a_3d_array():

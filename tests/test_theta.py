@@ -14,7 +14,6 @@ from loorkit import (
     weight_objective,
 )
 from loorkit import theta
-from loorkit.theta import psd_part
 from util import (disjoint_union, gnp, join, odd_cycle, odd_cycle_theta, or_product,
                   phase_rotated, random_graph, report_cases, strong_product, tail_graph)
 
@@ -287,16 +286,17 @@ def test_iterations_count_every_psd_projection(monkeypatch):
     # are plain steps that fill the memory.  Shifting its output by I leaves
     # the affine step unchanged and adds I to the residual, far above the
     # residual it was extrapolated from, so the safeguard rejects it; the
-    # rejected projection must still be counted.
-    project = theta.psd_part
+    # rejected projection must still be counted.  The projection is the
+    # factor B of z = B B^T, so appending the columns of I to B adds I to z.
+    factor = theta._psd_factor
     calls = []
 
     def counted(m):
         calls.append(m)
-        z = project(m)
-        return z + np.eye(len(m)) if len(calls) == 3 else z
+        b = factor(m)
+        return np.hstack([b, np.eye(len(m))]) if len(calls) == 3 else b
 
-    monkeypatch.setattr(theta, "psd_part", counted)
+    monkeypatch.setattr(theta, "_psd_factor", counted)
     sol = lovasz_theta(weighted_gnp20(), tol=1e-8)
     assert_certified(sol, 1e-8)
     assert sol.iterations == len(calls)
@@ -418,6 +418,23 @@ def test_a_certificate_that_misses_backs_off(monkeypatch):
     assert len(made) == 6
 
 
+def test_a_certificate_reuses_the_factor_of_its_point(monkeypatch):
+    # each attempt of tail seed 253 factors the point its check reads, whose
+    # factor the loop formed: one factor per iteration, none per attempt
+    factor = theta._psd_factor
+    formed = []
+
+    def counted(m):
+        formed.append(None)
+        return factor(m)
+
+    monkeypatch.setattr(theta, "_psd_factor", counted)
+    sol, made = _solve_with_certificates(tail_graph(253), monkeypatch, tol=1e-8,
+                                         max_iters=11_000)
+    assert len(made) == 6
+    assert len(formed) == sol.iterations == 11_000
+
+
 def test_the_edge_system_is_solved_matrix_free_above_the_dense_size(monkeypatch):
     # above CERT_DENSE_EDGES the m x m system is never formed or solved; CG
     # gives the dense solve's certificate to the tolerance it stops at
@@ -508,15 +525,21 @@ def test_rejects_bad_arguments():
             lovasz_theta(g, max_iters=max_iters)
 
 
+def positive_part(m):
+    """The positive part of ``m`` as the solver forms it: its factor B, recomposed as B B^T."""
+    b = theta._psd_factor(m)
+    return b @ b.T
+
+
 def test_psd_project_clips_negative_diagonal():
-    assert_allclose(psd_part(np.diag([1.0, -1.0])), np.diag([1.0, 0.0]), atol=1e-14)
+    assert_allclose(positive_part(np.diag([1.0, -1.0])), np.diag([1.0, 0.0]), atol=1e-14)
 
 
 def test_psd_project_fixes_psd_input():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((5, 5))
     m = a @ a.T
-    assert np.max(np.abs(psd_part(m) - m)) <= 1e-10 * max(1.0, np.max(np.abs(m)))
+    assert np.max(np.abs(positive_part(m) - m)) <= 1e-10 * max(1.0, np.max(np.abs(m)))
 
 
 def test_psd_project_matches_clipping_oracle_and_is_idempotent():
@@ -524,13 +547,13 @@ def test_psd_project_matches_clipping_oracle_and_is_idempotent():
     for _ in range(25):
         raw = rng.standard_normal((7, 7))
         m = (raw + raw.T) / 2
-        p = psd_part(m)
+        p = positive_part(m)
         assert p.dtype == np.float64
         assert np.array_equal(p, p.T)
         vals, vecs = np.linalg.eigh(m)
         oracle = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
         assert np.max(np.abs(p - oracle)) <= 1e-10
-        assert np.max(np.abs(psd_part(p) - p)) <= 1e-10
+        assert np.max(np.abs(positive_part(p) - p)) <= 1e-10
         assert np.linalg.eigvalsh(p)[0] >= -1e-10
         h = hermitize(raw)
         assert h.dtype == np.float64
@@ -543,7 +566,7 @@ def test_psd_part_of_a_matrix_without_positive_eigenvalues_is_zero(shift, dtype)
     m = np.eye(4, dtype=dtype) * shift
     if shift:
         m[0, 1] = m[1, 0] = 0.5
-    p = psd_part(m)
+    p = positive_part(m)
     assert p.dtype == m.dtype
     assert np.array_equal(p, np.zeros((4, 4)))
 
@@ -551,7 +574,7 @@ def test_psd_part_of_a_matrix_without_positive_eigenvalues_is_zero(shift, dtype)
 def test_psd_part_drops_a_zero_eigenvalue():
     # eigh sorts the spectrum to [-1, 0, 1]; the zero sits on the boundary
     # of the kept positive suffix, and the result is exact either way
-    assert np.array_equal(psd_part(np.diag([0.0, 1.0, -1.0])), np.diag([0.0, 1.0, 0.0]))
+    assert np.array_equal(positive_part(np.diag([0.0, 1.0, -1.0])), np.diag([0.0, 1.0, 0.0]))
 
 
 @pytest.mark.parametrize("n, shift", [(7, 0.0), (34, 9.0)], ids=["7-real", "34-real-definite"])
@@ -569,7 +592,7 @@ def test_psd_part_is_bitwise_the_masked_recomposition(n, shift):
     vp = vectors[:, pos]
     q = (vp * values[pos]) @ vp.T
     masked = (q + q.T) / 2.0
-    p = psd_part(m)
+    p = positive_part(m)
     b = vp * np.sqrt(values[pos])
     assert np.array_equal(p, b @ b.T)
     assert np.array_equal(p, p.T)
