@@ -302,7 +302,10 @@ def hermitize(m) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     _check_numbers(m, a.shape, "matrix", complex_ok=True)
-    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
+    # np.iscomplexobj reads an object array (ints beyond int64) as real
+    complex_entries = np.iscomplexobj(a) or (
+        a.dtype == object and any(isinstance(x, (complex, np.complexfloating)) for x in a.flat))
+    a = np.asarray(a, dtype=complex if complex_entries else float)
     return (a + a.conj().T) / 2.0
 
 

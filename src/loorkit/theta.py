@@ -59,7 +59,11 @@ accepted point when the safeguard rejects the one just evaluated:
   - W . X_c, the certificate below, which has no n p term.
 - upper = lambda_max(M), where M = W off the edges and M_ij = M_ji =
   2 rho u_ij on them, u = t - z.  Any Y supported on the edges gives
-  theta <= lambda_max(W + Y), the Lovász dual.
+  theta <= lambda_max(W + Y), the Lovász dual.  The solve keeps the M of
+  its best upper: ``ThetaSolution.y`` holds M's edge entries, one per edge
+  in ``g.edge_arrays()`` order, in the units of the normalized W / sum(w).
+  So sum(w) lambda_max(M) + n eps sum(w), with M rebuilt from (g, y),
+  gives upper bit for bit.
 
 Both bounds hold at any point, so acceleration changes which points are
 visited, never what a bracket certifies.
@@ -75,8 +79,10 @@ the edges, has trace 1 up to one rounding, and is a sum of PSD terms.
 
 The solve has converged when the primal residual and the PSD residual are
 at most tol and the relative gap (upper - lower) / upper is at most tol.
-A check is staged, cheapest first, and stops at the first stage whose
-criterion it misses:
+A check is one call of the function ``check`` inside ``lovasz_theta``,
+which holds the best upper, its y and stage 4's back-off; the loop keeps
+only the check's last report.  A check is staged, cheapest first, and
+stops at the first stage whose criterion it misses:
 
 1. the primal residual of the PSD iterate (a trace and a max over the
    edge entries);
@@ -150,8 +156,13 @@ class ThetaSolution:
     """SDP result with a feasibility certificate and a bracket on theta.
 
     lower <= theta <= upper is a certified bracket: lower is the bound X
-    itself certifies, upper the best dual bound found.  All other fields
-    come from the last check.  X is the certificate point when it gave the
+    itself certifies, upper the best dual bound found, and y proves it: the
+    dual matrix's entries on the edges, one per edge in ``g.edge_arrays()``
+    order, in the units of W / sum(w), so that with M = W / sum(w) and
+    M_ij = M_ji = y_e on each edge e = (i, j), upper is sum(w) lambda_max(M)
+    + n eps sum(w) bit for bit.  On a capped solve y, like upper, is the
+    best check's, not the last one's.  All other fields come from the last
+    check.  X is the certificate point when it gave the
     lower end (exactly 0 on edges, trace 1 up to roundoff, PSD up to
     roundoff), and otherwise the affine projection of the PSD iterate
     (affine-feasible up to roundoff at the scale of X, PSD up to
@@ -169,6 +180,7 @@ class ThetaSolution:
     psd_residual: float
     iterations: int
     converged: bool
+    y: np.ndarray
 
     def unmet(self, tol: float) -> dict[str, float]:
         """Stop criteria this solution misses at ``tol``, by name, with their
@@ -223,9 +235,9 @@ def _on_edges(y: np.ndarray, ei: np.ndarray, ej: np.ndarray, n: int) -> np.ndarr
     return out
 
 
-def _edge_multipliers(b: np.ndarray, ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
+def _edge_multipliers(b: np.ndarray, z: np.ndarray, ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
     """The y, one entry per edge, with (Y z + z Y)_ij = -z_ij on every edge,
-    for Y = ``_on_edges(y)`` and z = B B^T.
+    for Y = ``_on_edges(y)`` and z = B B^T, given both.
 
     The system is m x m and symmetric positive semidefinite: y^T A y is
     trace(Y z Y).  Up to ``CERT_DENSE_EDGES`` edges it is formed and solved
@@ -238,7 +250,6 @@ def _edge_multipliers(b: np.ndarray, ei: np.ndarray, ej: np.ndarray) -> np.ndarr
     if m <= CERT_DENSE_EDGES:
         # entry (e, f) sums, over the vertices v that edges e and f share,
         # z[other end of e, other end of f]
-        z = b @ b.T
         a = np.zeros((m, m))
         ends = np.concatenate((ei, ej))
         others = np.concatenate((ej, ei))
@@ -273,9 +284,9 @@ def _edge_multipliers(b: np.ndarray, ei: np.ndarray, ej: np.ndarray) -> np.ndarr
     return y
 
 
-def _certificate(b: np.ndarray, ei: np.ndarray, ej: np.ndarray) -> np.ndarray | None:
+def _certificate(b: np.ndarray, z: np.ndarray, ei: np.ndarray, ej: np.ndarray) -> np.ndarray | None:
     """A trace-1 PSD point that is exactly 0 on every edge, near z = B B^T,
-    or None when the step overflows.
+    given both, or None when the step overflows.
 
     One Gauss-Newton step B -> (I + Y) B, with Y supported on the edges and
     (Y z + z Y)_ij = -z_ij on every edge, cancels the edge entries of z to
@@ -286,7 +297,7 @@ def _certificate(b: np.ndarray, ei: np.ndarray, ej: np.ndarray) -> np.ndarray | 
     """
     n = len(b)
     with np.errstate(all="ignore"):
-        step = b + _on_edges(_edge_multipliers(b, ei, ej), ei, ej, n) @ b
+        step = b + _on_edges(_edge_multipliers(b, z, ei, ej), ei, ej, n) @ b
         x = step @ step.T
         left = np.abs(x[ei, ej])
         x[ei, ej] = 0.0
@@ -306,9 +317,10 @@ def lovasz_theta(
 
     Deterministic for fixed (graph, tol, max_iters).  On non-convergence X,
     value, lower and the residuals are those of the last check, at
-    iteration max_iters, and upper the best seen.  A check that falls on an
-    extrapolated point the safeguard rejects reads the last accepted point,
-    so a report never comes from a runaway extrapolation.
+    iteration max_iters, and upper the best seen, with the y that proves
+    it.  A check that falls on an extrapolated point the safeguard rejects
+    reads the last accepted point, so a report never comes from a runaway
+    extrapolation.
     """
     _check_tol("tol", tol)
     if not _is_int(max_iters) or max_iters < 1:
@@ -319,8 +331,6 @@ def lovasz_theta(
     w_obj = weight_objective(g) / scale  # unit trace
     edges = _flat_edges(g)
     ei, ej = g.edge_arrays()
-    # stage 4's back-off: gated checks left to skip, and the skip after a miss
-    cert_wait, cert_backoff = 0, 1
     rho = 1.0
     linear = w_obj / (2.0 * rho)
     t = np.eye(n) / n  # x = I/n, u = 0
@@ -330,6 +340,49 @@ def lovasz_theta(
     # roundoff in W . X and in lambda_max of a matrix of norm at most 1,
     # in the units of the weights
     roundoff = n * sys.float_info.epsilon * scale
+    # the check's state: the best upper with the dual's edge entries that
+    # give it, and stage 4's back-off (gated checks left to skip, and the
+    # skip after a miss)
+    upper, y = np.inf, None
+    cert_wait, cert_backoff = 0, 1
+
+    def check(at, az, ab, rho, last):
+        """Stages 1-4 at the point t = ``at`` with z = ``az`` = B B^T,
+        B = ``ab``: the report (X, value, lower, primal, psd), or None when
+        stage 1 misses, and whether the solve has converged.  A stage runs
+        only if the criteria before it are met, or at the forced last check."""
+        nonlocal upper, y, cert_wait, cert_backoff
+        primal = max(abs(float(az.trace()) - 1.0),
+                     float(np.max(np.abs(az.flat[edges]), initial=0.0)))
+        if not (primal <= tol or last):
+            return None, False
+        x = _affine_part(az.copy(), edges)
+        psd = max(0.0, -float(np.linalg.eigvalsh(x)[0]))
+        value = scale * float(np.sum(w_obj * x))
+        lower = (value + psd * scale) / (1.0 + n * psd) - roundoff
+        if not (psd <= tol or last):
+            return (x, value, lower, primal, psd), False
+        dual.flat[edges] = 2.0 * rho * (at.flat[edges] - az.flat[edges])
+        bound = scale * float(np.linalg.eigvalsh(dual)[-1]) + roundoff
+        if bound < upper:
+            # eigvalsh reads the lower triangle, where edge (i, j), i < j, is (j, i)
+            upper, y = bound, dual[ej, ei]
+        missed = _unmet(primal, psd, lower, upper, tol)
+        # stage 4, when a lossless lower end would close the gap
+        if missed.keys() == {"relative gap"} and upper - value <= tol * upper:
+            if cert_wait:
+                cert_wait -= 1
+            else:
+                x_cert = _certificate(ab, az, ei, ej)
+                if x_cert is not None:
+                    value_cert = scale * float(np.sum(w_obj * x_cert))
+                    if value_cert - roundoff > lower:
+                        x, value = x_cert, value_cert
+                        lower = value - roundoff
+                        missed = _unmet(primal, psd, lower, upper, tol)
+                if missed:
+                    cert_wait, cert_backoff = cert_backoff, 2 * cert_backoff
+        return (x, value, lower, primal, psd), not missed
 
     # Anderson state: the last accepted point with its PSD part and that
     # part's factor, its image g = T(t) = t + f, its step f (flat) and the
@@ -349,8 +402,7 @@ def lovasz_theta(
 
     iterations = 0
     converged = False
-    # no start for X, value, lower or residuals: max_iters >= 1 and the last check runs every stage
-    upper = np.inf
+    report = None  # max_iters >= 1, and the forced last check always reports
 
     while iterations < max_iters:
         iterations += 1
@@ -378,41 +430,13 @@ def lovasz_theta(
 
         last = iterations == max_iters
         if iterations % CHECK_EVERY == 0 or last:
-            # staged, cheapest first; a stage runs only if the criteria
-            # before it are met, or at the forced last check
-            at, az, ab = t, z, b
-            if rejected:
-                # a report must not come from a point the safeguard rejects:
-                # read the last accepted one
-                at, az, ab = anchor, anchor_z, anchor_b
-            primal = max(abs(float(az.trace()) - 1.0),
-                         float(np.max(np.abs(az.flat[edges]), initial=0.0)))
-            if primal <= tol or last:
-                x_report = _affine_part(az.copy(), edges)
-                psd_resid = max(0.0, -float(np.linalg.eigvalsh(x_report)[0]))
-                value = scale * float(np.sum(w_obj * x_report))
-                lower = (value + psd_resid * scale) / (1.0 + n * psd_resid) - roundoff
-                if psd_resid <= tol or last:
-                    dual.flat[edges] = 2.0 * rho * (at.flat[edges] - az.flat[edges])
-                    upper = min(upper, scale * float(np.linalg.eigvalsh(dual)[-1]) + roundoff)
-                    missed = _unmet(primal, psd_resid, lower, upper, tol)
-                    # stage 4, when a lossless lower end would close the gap
-                    if missed.keys() == {"relative gap"} and upper - value <= tol * upper:
-                        if cert_wait:
-                            cert_wait -= 1
-                        else:
-                            x_cert = _certificate(ab, ei, ej)
-                            if x_cert is not None:
-                                value_cert = scale * float(np.sum(w_obj * x_cert))
-                                if value_cert - roundoff > lower:
-                                    x_report, value = x_cert, value_cert
-                                    lower = value - roundoff
-                                    missed = _unmet(primal, psd_resid, lower, upper, tol)
-                            if missed:
-                                cert_wait, cert_backoff = cert_backoff, 2 * cert_backoff
-                    if not missed:
-                        converged = True
-                        break
+            # a report must not come from a point the safeguard rejects:
+            # read the last accepted one
+            point = (anchor, anchor_z, anchor_b) if rejected else (t, z, b)
+            checked, converged = check(*point, rho, last)
+            report = checked or report
+            if converged:
+                break
 
         if iterations % BALANCE_EVERY == 0:
             # residual balancing on the splitting gap; a new rho is a new
@@ -460,16 +484,9 @@ def lovasz_theta(
             t = image - (gamma @ dgs[:count]).reshape(n, n)
             extrapolated = True
 
-    return ThetaSolution(
-        X=x_report,
-        value=value,
-        lower=lower,
-        upper=upper,
-        primal_residual=primal,
-        psd_residual=psd_resid,
-        iterations=iterations,
-        converged=converged,
-    )
+    x, value, lower, primal, psd = report
+    return ThetaSolution(X=x, value=value, lower=lower, upper=upper, primal_residual=primal,
+                         psd_residual=psd, iterations=iterations, converged=converged, y=y)
 
 
 # a second name for the one solve, kept because bench/workloads.py reads it

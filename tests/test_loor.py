@@ -12,6 +12,7 @@ from loorkit import (
     OrthRep,
     RepFormatError,
     bbc21,
+    block_embed,
     certify_operator,
     gram_from_rep,
     hermitize,
@@ -421,6 +422,19 @@ def test_hermitize_keeps_ints_beyond_int64_real():
     # real input stays real
     h = hermitize([[10**20, 1], [1, 2]])
     assert h.dtype == np.float64 and h.tolist() == [[1e20, 1.0], [1.0, 2.0]]
+
+
+def test_hermitize_reads_a_complex_entry_beside_an_int_beyond_int64():
+    # numpy holds this matrix as an object array, which np.iscomplexobj
+    # reads as real; one complex entry makes the result complex
+    m = [[10**20, 1j], [-1j, 1]]
+    h = hermitize(m)
+    assert h.dtype == np.complex128 and h[0, 1] == 1j and h[1, 0] == -1j
+    assert h.tolist() == [[1e20, 1j], [-1j, 1.0]]
+    assert hermitize([[10**20, 1], [1, 1]]).dtype == np.float64
+    # block_embed converted such a matrix to complex before, and still gives
+    assert block_embed(m).tolist() == [[1e20, 0.0, 0.0, -1.0], [0.0, 1.0, 1.0, 0.0],
+                                       [0.0, 1.0, 1e20, 0.0], [-1.0, 0.0, 0.0, 1.0]]
 
 
 @pytest.mark.parametrize(("tol", "accepted"), [(None, False), (1e-6, True)],

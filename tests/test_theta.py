@@ -14,7 +14,7 @@ from loorkit import (
     weight_objective,
 )
 from loorkit import theta
-from util import (disjoint_union, gnp, join, odd_cycle, odd_cycle_theta, or_product,
+from util import (bench_corpus, disjoint_union, gnp, join, odd_cycle, odd_cycle_theta, or_product,
                   phase_rotated, random_graph, report_cases, strong_product, tail_graph)
 
 
@@ -83,6 +83,10 @@ def test_edgeless_unit_weights():
     sol = lovasz_theta(g)
     assert abs(sol.value - 3.0) <= 1e-6
     assert_allclose(sol.X, np.full((3, 3), 1.0 / 3.0), atol=1e-5)
+    # no edge, no multiplier: upper is sum(w) lambda_max(W / sum(w)) + n eps
+    # sum(w), and the rank-one W / sum(w) has lambda_max 1 up to roundoff
+    assert sol.y.shape == (0,)
+    assert abs(sol.upper - 3.0) <= 2 * 3 * np.finfo(float).eps * 3.0
 
 
 def test_single_vertex():
@@ -441,13 +445,105 @@ def test_the_edge_system_is_solved_matrix_free_above_the_dense_size(monkeypatch)
     g = gnp(np.random.default_rng(0), 40, 0.3)
     ei, ej = g.edge_arrays()
     b = theta._psd_factor(lovasz_theta(g, tol=1e-6).X)
-    dense = theta._certificate(b, ei, ej)
+    dense = theta._certificate(b, b @ b.T, ei, ej)
     monkeypatch.setattr(theta, "CERT_DENSE_EDGES", len(ei) - 1)
     monkeypatch.setattr(np.linalg, "solve", lambda *args: pytest.fail("solved the formed system"))
-    cg = theta._certificate(b, ei, ej)
+    cg = theta._certificate(b, b @ b.T, ei, ej)
     w = weight_objective(g)
     assert abs(np.sum(w * cg) - np.sum(w * dense)) <= 1e-6 * np.sum(w * dense)
     assert all(cg[i, j] == 0.0 for i, j in g.edges)
+
+
+def dual_upper(g, y):
+    """upper re-derived from (g, y) as the solver derives it: sum(w) times
+    lambda_max of W / sum(w) with y_e at both ends of each edge e, plus the
+    roundoff allowance n eps sum(w)."""
+    scale = g.weight_sum
+    ei, ej = g.edge_arrays()
+    m = weight_objective(g) / scale
+    m[ei, ej] = y
+    m[ej, ei] = y
+    return scale * float(np.linalg.eigvalsh(m)[-1]) + g.n * np.finfo(float).eps * scale
+
+
+def _solve_with_duals(g, monkeypatch, **kwargs):
+    """The solve, with every dual matrix it handed eigvalsh, in order: the
+    matrices that are W / sum(w) off the edges."""
+    w = weight_objective(g) / g.weight_sum
+    off = np.ones((g.n, g.n), dtype=bool)
+    ei, ej = g.edge_arrays()
+    off[ei, ej] = off[ej, ei] = False
+    duals, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(a):
+        if np.array_equal(a[off], w[off]):
+            duals.append(a.copy())
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    sol = lovasz_theta(g, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    return sol, duals
+
+
+def y_cases():
+    sdp = bench_corpus().sdp_cases(1)
+    yield "sdp1", [(c.graph, {"tol": 1e-8, "max_iters": 10_000}) for c in sdp]
+    for make in (kcbs, bbc21):
+        yield f"{make.__name__}-caps", [(make().graph, {"max_iters": cap}) for cap in range(1, 31)]
+    yield "tail253-cap11000", [(tail_graph(253), {"tol": 1e-8, "max_iters": 11_000})]
+    # the second of its three dual bounds is its best (see the test below)
+    yield "tail245", [(tail_graph(245), {"tol": 1e-8})]
+
+
+Y_CASES = dict(y_cases())
+
+
+@pytest.mark.parametrize("name", Y_CASES)
+def test_upper_rederives_from_y_bitwise(name):
+    for g, kwargs in Y_CASES[name]:
+        sol = lovasz_theta(g, **kwargs)
+        assert sol.y.shape == (len(g.edges),) and np.isfinite(sol.y).all(), kwargs
+        assert dual_upper(g, sol.y) == sol.upper, kwargs
+
+
+def test_y_proves_the_best_upper_not_the_last(monkeypatch):
+    # tail seed 245 converges at iteration 700 after three checks that
+    # reached the dual; its last upper is worse than the second, which the
+    # report keeps, with its y
+    g = tail_graph(245)
+    sol, duals = _solve_with_duals(g, monkeypatch, tol=1e-8)
+    assert sol.converged and sol.iterations == 700
+    ei, ej = g.edge_arrays()
+    bounds = [dual_upper(g, m[ej, ei]) for m in duals]
+    assert len(bounds) == 3 and bounds[-1] > sol.upper == bounds[1] == min(bounds)
+    assert np.array_equal(sol.y, duals[1][ej, ei])
+
+
+@pytest.mark.parametrize("make", [lambda: kcbs().graph, lambda: tail_graph(245), weighted_gnp20,
+                                  lambda: gnp(np.random.default_rng(0), 40, 0.3)],
+                         ids=["kcbs", "tail245", "gnp20-w", "g40"])
+def test_every_dual_matrix_is_bitwise_symmetric(make, monkeypatch):
+    # (t - z)_ij and (t - z)_ji are bitwise equal at every check, so one
+    # multiplier per edge, written into both triangles, rebuilds the dual
+    # matrix the solver bounded
+    sol, duals = _solve_with_duals(make(), monkeypatch, tol=1e-8, max_iters=2_000)
+    assert duals
+    assert all(np.array_equal(m, m.T) for m in duals)
+
+
+@pytest.mark.parametrize("g, reference", [case[1:] for case in REFERENCES[:8]],
+                         ids=[case[0] for case in REFERENCES[:8]])
+def test_any_multipliers_on_the_edges_give_a_lovasz_dual(g, reference):
+    # theta <= lambda_max(W + Y) for every Y supported on the edges, so a
+    # perturbed y still bounds theta from above: this checks the claim that
+    # y proves upper, not the solver
+    y = lovasz_theta(g).y
+    for e in (0, len(y) // 2, len(y) - 1):
+        for delta in (-0.1, -1e-3, 1e-3, 0.1):
+            perturbed = y.copy()
+            perturbed[e] += delta
+            assert dual_upper(g, perturbed) >= reference, (e, delta)
 
 
 def test_a_check_that_misses_the_primal_residual_solves_no_eigenproblem(monkeypatch):
